@@ -2,7 +2,6 @@ package nn_test
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"ocularone/internal/models"
@@ -217,9 +216,9 @@ func TestPlanGuardMaxAbs(t *testing.T) {
 
 // TestPlanIntegrityZeroAlloc is the steady-state cost gate: with ABFT
 // and sampled guards both live (and no faults), Execute still performs
-// zero heap allocations per frame — only detections may allocate.
+// zero heap allocations per frame at every GOMAXPROCS — only
+// detections may allocate.
 func TestPlanIntegrityZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	net := models.BuildQuantized(models.V8Nano, 2, 37, 3, 96, 96)
 	p := net.PlanFor(3, 96, 96)
 	xs := randFrames(93, 1, 3, 96, 96)
@@ -233,8 +232,10 @@ func TestPlanIntegrityZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.run()
-		if allocs := testing.AllocsPerRun(3, tc.run); allocs != 0 {
-			t.Errorf("%s: %.0f allocations per checked Execute, want 0", tc.name, allocs)
+		for _, procs := range zeroAllocProcs {
+			if allocs := allocsAt(procs, 3, tc.run); allocs != 0 {
+				t.Errorf("%s: %.0f allocations per checked Execute at GOMAXPROCS=%d, want 0", tc.name, allocs, procs)
+			}
 		}
 	}
 }

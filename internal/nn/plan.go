@@ -18,7 +18,7 @@ import (
 // so the steady-state serving path performs zero heap allocations per
 // frame. Convolutions lower to fused ops: im2col + GEMM with the
 // folded-BatchNorm affine (or conv bias) and the activation applied as
-// a row-band epilogue inside the matmul/requant loop (see
+// a per-stripe epilogue inside the matmul/requant loop (see
 // tensor.MatMulEpilogueInto / tensor.MatMulInt8EpilogueInto), which
 // removes the interpreter's two extra full-tensor sweeps per conv.
 //

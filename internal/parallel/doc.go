@@ -1,9 +1,11 @@
-// Package parallel provides small, dependency-free primitives for
-// data-parallel execution: a chunked parallel-for, a bounded worker pool,
-// and helpers for splitting index ranges across goroutines.
+// Package parallel provides a chunked parallel-for (For, ForRange) for
+// coarse data-parallel work outside the inference kernels: image
+// filters, detector training/evaluation over a dataset, and stepping
+// a fleet's independent sessions.
 //
-// The package is the concurrency substrate for the tensor engine and the
-// scene renderer. All primitives are deterministic with respect to the
-// work they perform (only scheduling order varies), so results of
-// associative-free computations are bit-reproducible.
+// The tensor kernels do not use it. A kernel runs on its caller's
+// goroutine, and multi-core throughput comes from running independent
+// plan instances (one per stream or session) side by side; see
+// internal/tensor's package doc. Results never depend on scheduling
+// order, because every index is processed by exactly one goroutine.
 package parallel

@@ -5,46 +5,34 @@ import (
 	"sync"
 )
 
-// DefaultWorkers reports the degree of parallelism used when a caller does
-// not specify one. It is GOMAXPROCS at call time, never less than 1.
-func DefaultWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // minGrain is the smallest per-goroutine chunk worth spawning for. Work
 // items cheaper than a few hundred nanoseconds amortise poorly; callers
 // with very cheap bodies should batch before calling For.
 const minGrain = 64
 
-// Serial reports whether For/ForRange would degrade to an inline loop
-// on the calling goroutine (a single worker). Hot kernels branch on it
-// to run closure-free serial loops: the func literal handed to For is
-// itself a heap allocation at the call site, and eliding it is what
-// lets the plan executor (internal/nn) hold zero allocations per frame
-// on single-core hosts.
-func Serial() bool { return DefaultWorkers() == 1 }
-
-// For executes fn(i) for every i in [0, n) using up to DefaultWorkers()
-// goroutines. It blocks until all iterations complete. fn must be safe for
-// concurrent invocation on distinct indices.
+// For executes fn(i) for every i in [0, n) using up to GOMAXPROCS
+// goroutines. It blocks until all iterations complete. fn must be safe
+// for concurrent invocation on distinct indices.
 func For(n int, fn func(i int)) {
-	ForWith(DefaultWorkers(), n, fn)
+	ForRange(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
 }
 
-// ForWith is For with an explicit worker count. workers <= 1, or n below
-// the parallel grain, degrades to a sequential loop.
-func ForWith(workers, n int, fn func(i int)) {
+// ForRange executes fn(lo, hi) over disjoint contiguous sub-ranges
+// covering [0, n), one call per worker (up to GOMAXPROCS). It is the
+// preferred form when the body can hoist per-chunk setup (e.g. slice
+// re-slicing) out of the inner loop. A single worker, or n below the
+// parallel grain, runs fn(0, n) on the calling goroutine.
+func ForRange(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || n < minGrain {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+		fn(0, n)
 		return
 	}
 	if workers > n {
@@ -55,47 +43,7 @@ func ForWith(workers, n int, fn func(i int)) {
 	// dense-array workloads this package serves.
 	chunk := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ForRange executes fn(lo, hi) over disjoint sub-ranges covering [0, n),
-// one call per worker. It is the preferred form when the body can hoist
-// per-chunk setup (e.g. slice re-slicing) out of the inner loop.
-func ForRange(n int, fn func(lo, hi int)) {
-	ForRangeWith(DefaultWorkers(), n, fn)
-}
-
-// ForRangeWith is ForRange with an explicit worker count.
-func ForRangeWith(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 || n < minGrain {
-		fn(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -103,98 +51,4 @@ func ForRangeWith(workers, n int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// Pool is a reusable fixed-size worker pool for fire-and-wait task batches.
-// The zero value is not usable; construct with NewPool. Pool amortises
-// goroutine startup across many small batches, which matters for the
-// per-layer dispatch pattern in the NN engine.
-type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup // tracks in-flight tasks
-	workers int
-	closed  sync.Once
-	done    chan struct{}
-}
-
-// NewPool creates a pool with the given number of workers (defaulting to
-// DefaultWorkers when workers <= 0). Callers must Close the pool when done.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{
-		tasks:   make(chan func(), workers*4),
-		workers: workers,
-		done:    make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		go p.run()
-	}
-	return p
-}
-
-func (p *Pool) run() {
-	for {
-		select {
-		case task := <-p.tasks:
-			task()
-			p.wg.Done()
-		case <-p.done:
-			// Drain remaining queued tasks so Wait cannot deadlock on a
-			// racing Submit/Close pair.
-			for {
-				select {
-				case task := <-p.tasks:
-					task()
-					p.wg.Done()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// Workers reports the pool's degree of parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues a task. It may block if the queue is full.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until every submitted task has completed.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close shuts the pool down after in-flight tasks finish. Submit must not
-// be called after Close.
-func (p *Pool) Close() {
-	p.closed.Do(func() {
-		p.wg.Wait()
-		close(p.done)
-	})
-}
-
-// SplitRange divides [0, n) into at most parts contiguous, near-equal
-// pieces and returns their (lo, hi) bounds. Empty pieces are elided, so
-// the result may have fewer than parts entries.
-func SplitRange(n, parts int) [][2]int {
-	if n <= 0 || parts <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	chunk := (n + parts - 1) / parts
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -18,8 +19,9 @@ func TestForCoversAllIndices(t *testing.T) {
 }
 
 func TestForWithSingleWorkerIsSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	order := make([]int, 0, 100)
-	ForWith(1, 100, func(i int) { order = append(order, i) })
+	For(100, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("sequential order broken at %d: got %d", i, v)
@@ -28,8 +30,9 @@ func TestForWithSingleWorkerIsSequential(t *testing.T) {
 }
 
 func TestForWithMoreWorkersThanItems(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(128))
 	var count int64
-	ForWith(64, 100, func(i int) { atomic.AddInt64(&count, 1) })
+	For(100, func(i int) { atomic.AddInt64(&count, 1) })
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
 	}
@@ -60,86 +63,5 @@ func TestForRangeCoversDisjointly(t *testing.T) {
 				t.Fatalf("n=%d: index %d covered %d times", n, i, c)
 			}
 		}
-	}
-}
-
-func TestSplitRange(t *testing.T) {
-	cases := []struct {
-		n, parts int
-		want     int // number of pieces
-	}{
-		{10, 3, 3},
-		{10, 10, 10},
-		{10, 20, 10},
-		{0, 4, 0},
-		{100, 4, 4},
-		{1, 1, 1},
-	}
-	for _, c := range cases {
-		got := SplitRange(c.n, c.parts)
-		if len(got) != c.want {
-			t.Errorf("SplitRange(%d,%d) pieces = %d, want %d", c.n, c.parts, len(got), c.want)
-		}
-		// Pieces must tile [0, n) exactly.
-		next := 0
-		for _, p := range got {
-			if p[0] != next {
-				t.Errorf("SplitRange(%d,%d): gap before %v", c.n, c.parts, p)
-			}
-			if p[1] <= p[0] {
-				t.Errorf("SplitRange(%d,%d): empty piece %v", c.n, c.parts, p)
-			}
-			next = p[1]
-		}
-		if c.n > 0 && next != c.n {
-			t.Errorf("SplitRange(%d,%d): covers up to %d", c.n, c.parts, next)
-		}
-	}
-}
-
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count int64
-	for i := 0; i < 1000; i++ {
-		p.Submit(func() { atomic.AddInt64(&count, 1) })
-	}
-	p.Wait()
-	if count != 1000 {
-		t.Fatalf("count = %d, want 1000", count)
-	}
-}
-
-func TestPoolReuseAcrossBatches(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var count int64
-	for batch := 0; batch < 10; batch++ {
-		for i := 0; i < 50; i++ {
-			p.Submit(func() { atomic.AddInt64(&count, 1) })
-		}
-		p.Wait()
-	}
-	if count != 500 {
-		t.Fatalf("count = %d, want 500", count)
-	}
-}
-
-func TestPoolWorkers(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	if p.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", p.Workers())
-	}
-	q := NewPool(0)
-	defer q.Close()
-	if q.Workers() != DefaultWorkers() {
-		t.Fatalf("Workers() = %d, want %d", q.Workers(), DefaultWorkers())
-	}
-}
-
-func TestDefaultWorkersPositive(t *testing.T) {
-	if DefaultWorkers() < 1 {
-		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
 	}
 }

@@ -1,11 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // Algorithm-based fault tolerance (ABFT) for the packed GEMM core:
 // Huang–Abraham column checksums verified per C stripe.
@@ -111,33 +106,12 @@ func colChecksumsQ(csum []int64, a []int8, m, k int) {
 
 // gemmStripesF32Check is gemmStripesF32 with per-stripe checksum
 // verification; it reports whether every stripe passed. csum/acsum are
-// the left operand's (absolute) column checksums over depth k.
+// the left operand's (absolute) column checksums over depth k. The
+// kernel schedule is identical to gemmStripesF32's (so results stay
+// bit-exact with the unchecked driver), with the expected column sums
+// accumulated during the panel pack and verified before the epilogue
+// touches the stripe.
 func gemmStripesF32Check[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64) bool {
-	nSliv := (n + gemmNR - 1) / gemmNR
-	if parallel.Serial() || nSliv == 1 {
-		return gemmStripeCheckRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, 0, nSliv)
-	}
-	return gemmStripesF32CheckPar(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, nSliv)
-}
-
-// gemmStripesF32CheckPar is the multi-worker dispatch, split out (as
-// gemmStripesF32Par is) so its closure captures never materialise on
-// the serial zero-alloc path.
-func gemmStripesF32CheckPar[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, nSliv int) bool {
-	var bad int32
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		if !gemmStripeCheckRangeF32(dst, m, n, k, apData, src, ep, chanOff, csum, acsum, s0, s1) {
-			atomic.StoreInt32(&bad, 1)
-		}
-	})
-	return atomic.LoadInt32(&bad) == 0
-}
-
-// gemmStripeCheckRangeF32 is the checked worker body: identical kernel
-// schedule to gemmStripeRangeF32 (so results stay bit-exact with the
-// unchecked driver), with the expected column sums accumulated during
-// the panel pack and verified before the epilogue touches the stripe.
-func gemmStripeCheckRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int, csum, acsum []float64, s0, s1 int) bool {
 	buf := Scratch.GetRaw((gemmKC + gemmMR) * gemmNR)
 	bbuf, ctile := buf[:gemmKC*gemmNR], buf[gemmKC*gemmNR:]
 	epWork := ep.hasWork()
@@ -147,8 +121,7 @@ func gemmStripeCheckRangeF32[S f32BSource](dst []float32, m, n, k int, apData []
 	var expArr, magArr [gemmNRMax]float64
 	nr := gemmNR
 	exp, mag := expArr[:nr], magArr[:nr]
-	for s := s0; s < s1; s++ {
-		j0 := s * nr
+	for j0 := 0; j0 < n; j0 += nr {
 		jw := n - j0
 		if jw > nr {
 			jw = nr
@@ -214,33 +187,12 @@ func gemmStripeCheckRangeF32[S f32BSource](dst []float32, m, n, k int, apData []
 }
 
 // gemmStripesQCheck is gemmStripesQ with exact per-stripe accumulator
-// verification; csum is the pair-interleaved int64 checksum row.
-func gemmStripesQCheck[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
-	nSliv := (n + qNR - 1) / qNR
-	if parallel.Serial() || nSliv == 1 {
-		return gemmStripeCheckRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, 0, nSliv)
-	}
-	return gemmStripesQCheckPar(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, nSliv)
-}
-
-// gemmStripesQCheckPar is the multi-worker dispatch, split out so the
-// serial path stays allocation-free.
-func gemmStripesQCheckPar[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, nSliv int) bool {
-	var bad int32
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		if !gemmStripeCheckRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, csum, s0, s1) {
-			atomic.StoreInt32(&bad, 1)
-		}
-	})
-	return atomic.LoadInt32(&bad) == 0
-}
-
-// gemmStripeCheckRangeQ is the checked int8 worker body: the kernel
-// tiles accumulate exactly as gemmStripeRangeQ's, but every int32
+// verification; csum is the pair-interleaved int64 checksum row. The
+// kernel tiles accumulate exactly as gemmStripesQ's, but every int32
 // accumulator is folded into the actual column sums before requant, so
 // the equality test against the checksum prediction sees precisely the
 // values that produce dst.
-func gemmStripeCheckRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64, s0, s1 int) bool {
+func gemmStripesQCheck[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int, csum []int64) bool {
 	k2 := (k + 1) / 2
 	bbuf := ScratchB.Get(k2 * 2 * qNR)
 	epWork := ep.hasWork()
@@ -251,8 +203,7 @@ func gemmStripeCheckRangeQ[S qBSource](dst []float32, m, n, k int, apData []int1
 	// first qNR entries are live for the selected tier.
 	var expArr, actArr [qNRMax]int64
 	exp, act := expArr[:nr], actArr[:nr]
-	for s := s0; s < s1; s++ {
-		j0 := s * nr
+	for j0 := 0; j0 < n; j0 += nr {
 		jw := n - j0
 		if jw > nr {
 			jw = nr
@@ -417,18 +368,8 @@ func MatMulRefEpilogueInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulRefEpilogueInto dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	if parallel.Serial() {
-		matMulRange(dst, a, b, 0, m)
-		ep.apply(dst.Data, 0, m, n, chanOff)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
-		ep.apply(dst.Data, lo, hi, n, chanOff)
-	})
+	matMulRefInto(dst, a, b)
+	ep.apply(dst.Data, 0, m, n, chanOff)
 }
 
 // MatMulInt8RefEpilogueInto is MatMulInt8EpilogueInto pinned to the
@@ -441,13 +382,6 @@ func MatMulInt8RefEpilogueInto(dst *Tensor, a, b *QTensor, rowScale []float32, e
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInt8RefEpilogueInto dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if parallel.Serial() {
-		var acc [4 * qnBlock]int32
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc[:], 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		acc := make([]int32, 4*qnBlock)
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc, lo, hi)
-	})
+	var acc [4 * qnBlock]int32
+	int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc[:], 0, m)
 }

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"ocularone/internal/rng"
@@ -245,10 +244,9 @@ func TestABFTCleanNoFalsePositive(t *testing.T) {
 }
 
 // TestABFTCheckZeroAlloc pins the steady-state checked conv paths at
-// zero heap allocations on a single worker — ABFT must not cost the
+// zero heap allocations at every GOMAXPROCS — ABFT must not cost the
 // plan executor its 0 allocs/frame contract.
 func TestABFTCheckZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	r := rng.New(11)
 	x := randTensor(r, 16, 24, 24)
@@ -275,12 +273,8 @@ func TestABFTCheckZeroAlloc(t *testing.T) {
 	}
 	runF()
 	runQ()
-	if a := testing.AllocsPerRun(10, runF); a != 0 {
-		t.Errorf("ConvPackedCheckInto: %.0f allocs per steady-state call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(10, runQ); a != 0 {
-		t.Errorf("ConvPackedQCheckInto: %.0f allocs per steady-state call, want 0", a)
-	}
+	assertZeroAllocs(t, "ConvPackedCheckInto", runF)
+	assertZeroAllocs(t, "ConvPackedQCheckInto", runQ)
 }
 
 // BenchmarkConvABFT measures the checked implicit-im2col conv against

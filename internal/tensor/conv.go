@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ocularone/internal/parallel"
 )
 
 // ConvSpec describes a 2-D convolution. Tensors use CHW layout (channels,
@@ -170,18 +168,26 @@ func Conv2DBatch(xs []*Tensor, w, bias *Tensor, spec ConvSpec) []*Tensor {
 		} else {
 			matMulRefInto(big, wslice, cols)
 		}
-		// Scatter the [ocg, nb*plane] group result into per-sample CHW.
-		parallel.For(ocg*nb, func(i int) {
-			c, b := i/nb, i%nb
-			copy(outs[b].Data[(g*ocg+c)*plane:(g*ocg+c+1)*plane],
-				big.Data[c*nb*plane+b*plane:c*nb*plane+(b+1)*plane])
-		})
+		scatterBatch(outs, big.Data, g*ocg, ocg, plane)
 	}
 	Scratch.Put(cols, big)
 	for _, out := range outs {
 		addBias(out.Data, bias, spec.OutC, plane)
 	}
 	return outs
+}
+
+// scatterBatch copies an [ocg, nb·plane] group result (sample b in
+// columns [b·plane, (b+1)·plane)) into channels [c0, c0+ocg) of the
+// per-sample CHW outputs.
+func scatterBatch(outs []*Tensor, big []float32, c0, ocg, plane int) {
+	nb := len(outs)
+	for c := 0; c < ocg; c++ {
+		for b, out := range outs {
+			copy(out.Data[(c0+c)*plane:(c0+c+1)*plane],
+				big[(c*nb+b)*plane:(c*nb+b+1)*plane])
+		}
+	}
 }
 
 // addBias adds a per-channel bias over a CHW activation laid out as
@@ -193,13 +199,12 @@ func addBias(data []float32, bias *Tensor, outC, plane int) {
 	if bias.Len() != outC {
 		panic(fmt.Sprintf("tensor: conv bias len %d, want %d", bias.Len(), outC))
 	}
-	parallel.For(outC, func(c int) {
-		b := bias.Data[c]
+	for c, b := range bias.Data {
 		d := data[c*plane : (c+1)*plane]
 		for i := range d {
 			d[i] += b
 		}
-	})
+	}
 }
 
 // im2col unrolls receptive fields of channels [c0, c0+nc) into cols, a
@@ -223,54 +228,41 @@ func Im2ColQInto(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, nc, oh,
 	im2colQInto(x, cols, inv, spec, c0, nc, oh, ow, colOff, rowStride)
 }
 
-// im2colInto is im2col writing each unrolled row into cols at column
-// offset colOff, with rowStride columns per cols row — the layout hook
-// that lets a batch of samples share one cols matrix (sample b occupies
-// columns [b*oh*ow, (b+1)*oh*ow)).
+// im2colInto is im2col writing each unrolled (channel, ky, kx) row into
+// cols at column offset colOff, with rowStride columns per cols row —
+// the layout hook that lets a batch of samples share one cols matrix
+// (sample b occupies columns [b*oh*ow, (b+1)*oh*ow)).
 func im2colInto(x, cols *Tensor, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
-	total := nc * spec.KH * spec.KW
-	if parallel.Serial() {
-		for r := 0; r < total; r++ {
-			im2colRow(x, cols, spec, c0, r, oh, ow, colOff, rowStride)
-		}
-		return
-	}
-	parallel.For(total, func(r int) {
-		im2colRow(x, cols, spec, c0, r, oh, ow, colOff, rowStride)
-	})
-}
-
-// im2colRow unrolls one (channel, ky, kx) row of the cols matrix — the
-// shared worker body of im2colInto.
-func im2colRow(x, cols *Tensor, spec ConvSpec, c0, r, oh, ow, colOff, rowStride int) {
 	h, w := x.Shape[1], x.Shape[2]
 	dh, dw := spec.dil()
-	c := r / (spec.KH * spec.KW)
-	rem := r % (spec.KH * spec.KW)
-	ky := rem / spec.KW
-	kx := rem % spec.KW
-	src := x.Data[(c0+c)*h*w : (c0+c+1)*h*w]
-	dst := cols.Data[r*rowStride+colOff : r*rowStride+colOff+oh*ow]
-	i := 0
-	for oy := 0; oy < oh; oy++ {
-		iy := oy*spec.StrideH - spec.PadH + ky*dh
-		if iy < 0 || iy >= h {
+	for r := 0; r < nc*spec.KH*spec.KW; r++ {
+		c := r / (spec.KH * spec.KW)
+		rem := r % (spec.KH * spec.KW)
+		ky := rem / spec.KW
+		kx := rem % spec.KW
+		src := x.Data[(c0+c)*h*w : (c0+c+1)*h*w]
+		dst := cols.Data[r*rowStride+colOff : r*rowStride+colOff+oh*ow]
+		i := 0
+		for oy := 0; oy < oh; oy++ {
+			iy := oy*spec.StrideH - spec.PadH + ky*dh
+			if iy < 0 || iy >= h {
+				for ox := 0; ox < ow; ox++ {
+					dst[i] = 0
+					i++
+				}
+				continue
+			}
+			srow := src[iy*w : (iy+1)*w]
+			ix := -spec.PadW + kx*dw
 			for ox := 0; ox < ow; ox++ {
-				dst[i] = 0
+				if ix >= 0 && ix < w {
+					dst[i] = srow[ix]
+				} else {
+					dst[i] = 0
+				}
 				i++
+				ix += spec.StrideW
 			}
-			continue
-		}
-		srow := src[iy*w : (iy+1)*w]
-		ix := -spec.PadW + kx*dw
-		for ox := 0; ox < ow; ox++ {
-			if ix >= 0 && ix < w {
-				dst[i] = srow[ix]
-			} else {
-				dst[i] = 0
-			}
-			i++
-			ix += spec.StrideW
 		}
 	}
 }
@@ -278,34 +270,8 @@ func im2colRow(x, cols *Tensor, spec ConvSpec, c0, r, oh, ow, colOff, rowStride 
 // MaxPool2D applies kxk max pooling with the given stride to x [C,H,W].
 func MaxPool2D(x *Tensor, k, stride, pad int) *Tensor {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := (h+2*pad-k)/stride + 1
-	ow := (w+2*pad-k)/stride + 1
-	out := New(c, oh, ow)
-	parallel.For(c, func(ci int) {
-		src := x.Data[ci*h*w : (ci+1)*h*w]
-		dst := out.Data[ci*oh*ow : (ci+1)*oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := float32(negInf)
-				for ky := 0; ky < k; ky++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < k; kx++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						if v := src[iy*w+ix]; v > best {
-							best = v
-						}
-					}
-				}
-				dst[oy*ow+ox] = best
-			}
-		}
-	})
+	out := New(c, (h+2*pad-k)/stride+1, (w+2*pad-k)/stride+1)
+	MaxPool2DInto(out, x, k, stride, pad)
 	return out
 }
 
@@ -318,13 +284,13 @@ func AvgPoolGlobal(x *Tensor) *Tensor {
 	out := New(c)
 	plane := h * w
 	inv := 1 / float32(plane)
-	parallel.For(c, func(ci int) {
+	for ci := range out.Data {
 		var s float32
 		for _, v := range x.Data[ci*plane : (ci+1)*plane] {
 			s += v
 		}
 		out.Data[ci] = s * inv
-	})
+	}
 	return out
 }
 
@@ -333,19 +299,7 @@ func AvgPoolGlobal(x *Tensor) *Tensor {
 func UpsampleNearest2x(x *Tensor) *Tensor {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	out := New(c, h*2, w*2)
-	parallel.For(c, func(ci int) {
-		src := x.Data[ci*h*w:]
-		dst := out.Data[ci*h*2*w*2:]
-		for y := 0; y < h; y++ {
-			srow := src[y*w : (y+1)*w]
-			d0 := dst[(2*y)*w*2 : (2*y)*w*2+w*2]
-			for xx, v := range srow {
-				d0[2*xx] = v
-				d0[2*xx+1] = v
-			}
-			copy(dst[(2*y+1)*w*2:(2*y+1)*w*2+w*2], d0)
-		}
-	})
+	UpsampleNearest2xInto(out, x)
 	return out
 }
 
@@ -378,14 +332,14 @@ func ConcatChannels(xs ...*Tensor) *Tensor {
 func BatchNormInference(x *Tensor, gamma, beta, mean, variance []float32, eps float32) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	plane := h * w
-	parallel.For(c, func(ci int) {
+	for ci := 0; ci < c; ci++ {
 		scale := gamma[ci] / sqrt32(variance[ci]+eps)
 		shift := beta[ci] - mean[ci]*scale
 		d := x.Data[ci*plane : (ci+1)*plane]
 		for i, v := range d {
 			d[i] = v*scale + shift
 		}
-	})
+	}
 }
 
 func sqrt32(v float32) float32 {

@@ -5,10 +5,14 @@
 //
 // The design goal is a small, allocation-conscious engine fast enough
 // to run scaled-down YOLO-style networks on CPU for the repository's
-// benchmarks, not a general autograd framework. Kernels parallelise
-// across GEMM column slivers or rows/channels with internal/parallel,
-// and every hot kernel carries a closure-free serial branch
-// (parallel.Serial) so single-core execution allocates nothing.
+// benchmarks, not a general autograd framework.
+//
+// Concurrency model: every kernel has one body and runs on its
+// caller's goroutine — there is no intra-op parallelism, so a
+// steady-state call allocates nothing at any GOMAXPROCS. Multi-core
+// throughput comes from independent plan instances (internal/nn
+// Plan), one per stream or session, executing side by side; the
+// shared Scratch/ScratchB pools are safe for that concurrent use.
 //
 // The matrix-multiply core (pack.go, packq.go, the assembly kernels)
 // is a BLIS-style packed GEMM: the left operand packs into MR-row

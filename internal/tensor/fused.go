@@ -3,14 +3,12 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ocularone/internal/parallel"
 )
 
 // This file holds the fused-epilogue kernels of the plan executor (see
 // internal/nn's Plan): a convolution lowered to im2col + GEMM finishes
-// each output row with the folded BatchNorm affine (or conv bias) and
-// the activation applied while the row band is still cache-hot, so the
+// each output column stripe with the folded BatchNorm affine (or conv
+// bias) and the activation applied while it is still cache-hot, so the
 // interpreter's two extra full-tensor sweeps (BatchNormInference, then
 // the activation) never touch memory. Every epilogue replicates the
 // interpreter's float32 expressions operation for operation, which is
@@ -44,7 +42,7 @@ type Epilogue struct {
 
 // apply finishes rows [r0, r1) of a GEMM result laid out as rows of
 // width w, where GEMM row r corresponds to epilogue channel chanOff+r.
-// It is applyCols over the full width, so row-band (reference) and
+// It is applyCols over the full width, so row-wise (reference) and
 // column-stripe (packed) application share one op sequence and cannot
 // drift apart.
 func (ep Epilogue) apply(data []float32, r0, r1, w, chanOff int) {
@@ -89,11 +87,11 @@ func (ep Epilogue) applyCols(data []float32, r0, r1, w, j0, j1, chanOff int) {
 	}
 }
 
-// MatMulEpilogueInto computes dst = A × B with the same cache-blocked
-// ikj kernel as MatMulInto, then applies the epilogue to each finished
-// row band before the worker moves on — one pass over dst instead of
-// three. GEMM row r maps to epilogue channel chanOff+r (the group
-// offset of a grouped convolution).
+// MatMulEpilogueInto computes dst = A × B with the same kernels as
+// MatMulInto, then applies the epilogue — per finished column stripe
+// on the packed path, once over dst on the reference one. GEMM row r
+// maps to epilogue channel chanOff+r (the group offset of a grouped
+// convolution).
 func MatMulEpilogueInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 	m := a.Shape[0]
 	n := b.Shape[1]
@@ -104,18 +102,8 @@ func MatMulEpilogueInto(dst, a, b *Tensor, ep Epilogue, chanOff int) {
 		matMulPackedInto(dst, a, b, ep, chanOff)
 		return
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	if parallel.Serial() {
-		matMulRange(dst, a, b, 0, m)
-		ep.apply(dst.Data, 0, m, n, chanOff)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
-		ep.apply(dst.Data, lo, hi, n, chanOff)
-	})
+	matMulRefInto(dst, a, b)
+	ep.apply(dst.Data, 0, m, n, chanOff)
 }
 
 // MatMulInt8EpilogueInto is MatMulInt8Into with the BatchNorm/activation
@@ -147,19 +135,14 @@ func MatMulInt8EpilogueInto(dst *Tensor, a, b *QTensor, rowScale []float32, ep E
 		matMulInt8PackedInto(dst, a, b, rowScale, ep, chanOff)
 		return
 	}
-	if parallel.Serial() {
-		var acc [4 * qnBlock]int32
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc[:], 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		acc := make([]int32, 4*qnBlock)
-		int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc, lo, hi)
-	})
+	var acc [4 * qnBlock]int32
+	int8EpilogueRange(dst, a, b, rowScale, ep, chanOff, acc[:], 0, m)
 }
 
-// int8EpilogueRange requantizes, folds, and activates rows [lo, hi) —
-// the shared worker body of MatMulInt8EpilogueInto.
+// int8EpilogueRange is the reference 4-row int8 tile loop: it
+// accumulates, requantizes, folds, and activates rows [lo, hi) using
+// acc (4·qnBlock int32s) as the tile. MatMulInt8Into (zero epilogue),
+// MatMulInt8EpilogueInto and MatMulInt8RefEpilogueInto all run it.
 func int8EpilogueRange(dst *Tensor, a, b *QTensor, rowScale []float32, ep Epilogue, chanOff int, acc []int32, lo, hi int) {
 	k := a.Shape[1]
 	n := b.Shape[1]
@@ -202,43 +185,29 @@ func MaxPool2DInto(dst, x *Tensor, k, stride, pad int) {
 	if dst.Shape[0] != c || dst.Shape[1] != oh || dst.Shape[2] != ow {
 		panic(fmt.Sprintf("tensor: MaxPool2DInto dst %v, want [%d %d %d]", dst.Shape, c, oh, ow))
 	}
-	if parallel.Serial() {
-		for ci := 0; ci < c; ci++ {
-			maxPoolChan(dst, x, ci, k, stride, pad)
-		}
-		return
-	}
-	parallel.For(c, func(ci int) {
-		maxPoolChan(dst, x, ci, k, stride, pad)
-	})
-}
-
-// maxPoolChan pools one channel — the shared worker body of
-// MaxPool2DInto.
-func maxPoolChan(dst, x *Tensor, ci, k, stride, pad int) {
-	h, w := x.Shape[1], x.Shape[2]
-	oh, ow := dst.Shape[1], dst.Shape[2]
-	src := x.Data[ci*h*w : (ci+1)*h*w]
-	out := dst.Data[ci*oh*ow : (ci+1)*oh*ow]
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			best := float32(negInf)
-			for ky := 0; ky < k; ky++ {
-				iy := oy*stride - pad + ky
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < k; kx++ {
-					ix := ox*stride - pad + kx
-					if ix < 0 || ix >= w {
+	for ci := 0; ci < c; ci++ {
+		src := x.Data[ci*h*w : (ci+1)*h*w]
+		out := dst.Data[ci*oh*ow : (ci+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(negInf)
+				for ky := 0; ky < k; ky++ {
+					iy := oy*stride - pad + ky
+					if iy < 0 || iy >= h {
 						continue
 					}
-					if v := src[iy*w+ix]; v > best {
-						best = v
+					for kx := 0; kx < k; kx++ {
+						ix := ox*stride - pad + kx
+						if ix < 0 || ix >= w {
+							continue
+						}
+						if v := src[iy*w+ix]; v > best {
+							best = v
+						}
 					}
 				}
+				out[oy*ow+ox] = best
 			}
-			out[oy*ow+ox] = best
 		}
 	}
 }
@@ -250,31 +219,18 @@ func UpsampleNearest2xInto(dst, x *Tensor) {
 	if dst.Shape[0] != c || dst.Shape[1] != h*2 || dst.Shape[2] != w*2 {
 		panic(fmt.Sprintf("tensor: UpsampleNearest2xInto dst %v, want [%d %d %d]", dst.Shape, c, h*2, w*2))
 	}
-	if parallel.Serial() {
-		for ci := 0; ci < c; ci++ {
-			upsampleChan(dst, x, ci)
+	for ci := 0; ci < c; ci++ {
+		src := x.Data[ci*h*w:]
+		out := dst.Data[ci*h*2*w*2:]
+		for y := 0; y < h; y++ {
+			srow := src[y*w : (y+1)*w]
+			d0 := out[(2*y)*w*2 : (2*y)*w*2+w*2]
+			for xx, v := range srow {
+				d0[2*xx] = v
+				d0[2*xx+1] = v
+			}
+			copy(out[(2*y+1)*w*2:(2*y+1)*w*2+w*2], d0)
 		}
-		return
-	}
-	parallel.For(c, func(ci int) {
-		upsampleChan(dst, x, ci)
-	})
-}
-
-// upsampleChan upsamples one channel — the shared worker body of
-// UpsampleNearest2xInto.
-func upsampleChan(dst, x *Tensor, ci int) {
-	h, w := x.Shape[1], x.Shape[2]
-	src := x.Data[ci*h*w:]
-	out := dst.Data[ci*h*2*w*2:]
-	for y := 0; y < h; y++ {
-		srow := src[y*w : (y+1)*w]
-		d0 := out[(2*y)*w*2 : (2*y)*w*2+w*2]
-		for xx, v := range srow {
-			d0[2*xx] = v
-			d0[2*xx+1] = v
-		}
-		copy(out[(2*y+1)*w*2:(2*y+1)*w*2+w*2], d0)
 	}
 }
 
@@ -299,30 +255,19 @@ func ConcatChannelsInto(dst *Tensor, xs ...*Tensor) {
 }
 
 // TransposeInto is Transpose writing into a caller-owned dst of shape
-// [n, m] for a source of shape [m, n].
+// [n, m] for a source of shape [m, n], copied in 32×32 blocks so both
+// sides stay cache-friendly (the attention path transposes n×n score
+// matrices per head).
 func TransposeInto(dst, a *Tensor) {
 	m, n := a.Shape[0], a.Shape[1]
 	if dst.Shape[0] != n || dst.Shape[1] != m {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %v, want [%d %d]", dst.Shape, n, m))
 	}
-	if parallel.Serial() {
-		transposeRange(dst, a, 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		transposeRange(dst, a, lo, hi)
-	})
-}
-
-// transposeRange transposes source rows [lo, hi) — the shared worker
-// body of TransposeInto.
-func transposeRange(dst, a *Tensor, lo, hi int) {
-	m, n := a.Shape[0], a.Shape[1]
 	const bs = 32
-	for i0 := lo; i0 < hi; i0 += bs {
+	for i0 := 0; i0 < m; i0 += bs {
 		i1 := i0 + bs
-		if i1 > hi {
-			i1 = hi
+		if i1 > m {
+			i1 = m
 		}
 		for j0 := 0; j0 < n; j0 += bs {
 			j1 := j0 + bs

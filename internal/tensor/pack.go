@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // This file is the packed, register-blocked GEMM core: a BLIS-style
 // rearchitecture of the matrix-multiply hot path that replaces the
@@ -42,7 +38,7 @@ import (
 // the edge cases — accumulate each C element as one chain of separate
 // single-precision multiply-then-add steps in ascending-k order,
 // exactly the op sequence of the retained reference kernel
-// (matMulRange), so their packed results are bit-identical to the
+// (matMulRefInto), so their packed results are bit-identical to the
 // reference for finite inputs. The FMA tiers keep the ascending-k
 // order but fuse each multiply-add into a single rounding, so their
 // results are drift-bounded against the reference (KernelTierFMA
@@ -175,7 +171,7 @@ func (s f32MatrixB) pack(bbuf []float32, k0, kc, j0, jw int) {
 // f32ConvB gathers B panels straight from a CHW input's receptive
 // fields — im2col fused into the panel pack (implicit GEMM). Row r of
 // the virtual B matrix is the (c, ky, kx) unroll of channels
-// [c0, c0+icg) exactly as im2colRow lays it out, so packed-conv
+// [c0, c0+icg) exactly as im2colInto lays it out, so packed-conv
 // results match the materialised-cols reference bit for bit.
 type f32ConvB struct {
 	x      *Tensor
@@ -221,37 +217,16 @@ func (s f32ConvB) pack(bbuf []float32, k0, kc, j0, jw int) {
 	}
 }
 
-// gemmStripesF32 runs the packed GEMM over C = A×B (+epilogue),
-// parallelised over NR-column slivers. dst must hold m×n row-major
-// values; it is fully overwritten (no pre-zeroing needed — the first
-// k-block initialises the accumulators). apData is A in micro-panel
-// layout covering depth k.
+// gemmStripesF32 runs the packed GEMM over C = A×B (+epilogue), one
+// NR-column sliver at a time. dst must hold m×n row-major values; it
+// is fully overwritten (no pre-zeroing needed — the first k-block
+// initialises the accumulators). apData is A in micro-panel layout
+// covering depth k.
 func gemmStripesF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff int) {
-	nSliv := (n + gemmNR - 1) / gemmNR
-	if parallel.Serial() || nSliv == 1 {
-		gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, 0, nSliv)
-		return
-	}
-	gemmStripesF32Par(dst, m, n, k, apData, src, ep, chanOff, nSliv)
-}
-
-// gemmStripesF32Par is the multi-worker dispatch, split out so the
-// closure capture it needs is only materialised off the serial path
-// (the serial frame loop stays allocation-free).
-func gemmStripesF32Par[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff, nSliv int) {
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		gemmStripeRangeF32(dst, m, n, k, apData, src, ep, chanOff, s0, s1)
-	})
-}
-
-// gemmStripeRangeF32 computes column slivers [s0, s1) — the worker
-// body of gemmStripesF32.
-func gemmStripeRangeF32[S f32BSource](dst []float32, m, n, k int, apData []float32, src S, ep Epilogue, chanOff, s0, s1 int) {
 	buf := Scratch.GetRaw((gemmKC + gemmMR) * gemmNR)
 	bbuf, ctile := buf[:gemmKC*gemmNR], buf[gemmKC*gemmNR:]
 	epWork := ep.hasWork()
-	for s := s0; s < s1; s++ {
-		j0 := s * gemmNR
+	for j0 := 0; j0 < n; j0 += gemmNR {
 		jw := n - j0
 		if jw > gemmNR {
 			jw = gemmNR

@@ -237,12 +237,47 @@ func TestConvImplicitQParity(t *testing.T) {
 	}
 }
 
+// zeroAllocProcs are the GOMAXPROCS settings every zero-alloc gate
+// runs at: the single-core pin, and a multi-core scheduler.
+var zeroAllocProcs = []int{1, 4}
+
+// allocsAt is testing.AllocsPerRun measured at GOMAXPROCS=procs.
+// AllocsPerRun pins GOMAXPROCS to 1 while it counts, so it cannot see
+// allocations that only happen under a multi-core scheduler; this
+// counts the same Mallocs delta (warm-up call, integer average per
+// run) without that pin. The runtime.GC first lets the runtime start
+// the GC worker goroutines and threads for the new Ps, whose one-time
+// heap records would otherwise land in the window when a cycle begins
+// there.
+func allocsAt(procs, runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	runtime.GC()
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
+// assertZeroAllocs fails t unless fn performs zero heap allocations
+// per steady-state call at every zeroAllocProcs setting.
+func assertZeroAllocs(t *testing.T, name string, fn func()) {
+	t.Helper()
+	for _, procs := range zeroAllocProcs {
+		if a := allocsAt(procs, 10, fn); a != 0 {
+			t.Errorf("%s: %.0f allocs per steady-state call at GOMAXPROCS=%d, want 0", name, a, procs)
+		}
+	}
+}
+
 // TestPackedConvZeroAlloc asserts the steady-state implicit-im2col
 // paths (fp32 and int8, with cached packed weights) perform zero heap
-// allocations per call on a single worker — the contract the plan
+// allocations per call at every GOMAXPROCS — the contract the plan
 // executor's zero-alloc frame loop builds on.
 func TestPackedConvZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	r := rng.New(11)
 	x := randTensor(r, 16, 24, 24)
@@ -261,12 +296,8 @@ func TestPackedConvZeroAlloc(t *testing.T) {
 	runQ := func() { ConvPackedQInto(dst, qp, x, spec, 0, 24, 24, 127, rowScale, ep, 0) }
 	runF()
 	runQ()
-	if a := testing.AllocsPerRun(10, runF); a != 0 {
-		t.Errorf("ConvPackedInto: %.0f allocs per steady-state call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(10, runQ); a != 0 {
-		t.Errorf("ConvPackedQInto: %.0f allocs per steady-state call, want 0", a)
-	}
+	assertZeroAllocs(t, "ConvPackedInto", runF)
+	assertZeroAllocs(t, "ConvPackedQInto", runQ)
 }
 
 // TestPoolAlignment property-tests the 64-byte alignment guarantee of

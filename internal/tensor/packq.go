@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // The int8 half of the packed GEMM core (see pack.go for the fp32
 // design). Differences from the fp32 driver:
@@ -124,7 +120,7 @@ func (s qMatrixB) pack(bbuf []int8, j0, jw int) {
 // them at inverse scale inv while packing — the int8 twin of f32ConvB,
 // fusing im2col *and* activation quantization into the sliver pack.
 // Every element quantizes with the same quantizeRound call as the
-// reference im2colQRow, so packed int8 convs match the materialised
+// reference im2colQInto, so packed int8 convs match the materialised
 // reference bit for bit.
 type qConvB struct {
 	x      *Tensor
@@ -175,28 +171,8 @@ func (s qConvB) pack(bbuf []int8, j0, jw int) {
 
 // gemmStripesQ runs the packed int8 GEMM with fused requantization:
 // dst[i,j] = float32(Σ_k A[i,k]·B[k,j]) · rowScale[i], plus the
-// optional epilogue, parallelised over qNR-column slivers.
+// optional epilogue, one qNR-column sliver at a time.
 func gemmStripesQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff int) {
-	nSliv := (n + qNR - 1) / qNR
-	if parallel.Serial() || nSliv == 1 {
-		gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, 0, nSliv)
-		return
-	}
-	gemmStripesQPar(dst, m, n, k, apData, src, rowScale, ep, chanOff, nSliv)
-}
-
-// gemmStripesQPar is the multi-worker dispatch, split out so the
-// closure capture it needs is only materialised off the serial path
-// (the serial frame loop stays allocation-free).
-func gemmStripesQPar[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff, nSliv int) {
-	parallel.ForRange(nSliv, func(s0, s1 int) {
-		gemmStripeRangeQ(dst, m, n, k, apData, src, rowScale, ep, chanOff, s0, s1)
-	})
-}
-
-// gemmStripeRangeQ computes column slivers [s0, s1) — the worker body
-// of gemmStripesQ.
-func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, src S, rowScale []float32, ep Epilogue, chanOff, s0, s1 int) {
 	k2 := (k + 1) / 2
 	bbuf := ScratchB.Get(k2 * 2 * qNR)
 	epWork := ep.hasWork()
@@ -205,8 +181,7 @@ func gemmStripeRangeQ[S qBSource](dst []float32, m, n, k int, apData []int16, sr
 	// analysis and would heap-allocate the tile every call.
 	acc := scratchI32.get(4 * qNR)
 	nr := qNR
-	for s := s0; s < s1; s++ {
-		j0 := s * nr
+	for j0 := 0; j0 < n; j0 += nr {
 		jw := n - j0
 		if jw > nr {
 			jw = nr

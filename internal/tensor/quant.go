@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"ocularone/internal/parallel"
-)
+import "fmt"
 
 // QTensor is a dense row-major int8 tensor with quantization metadata:
 // Data[i] ≈ round(value/scale) + zero, where the scale/zero pair comes
@@ -107,7 +103,7 @@ func QuantizeLinear(t *Tensor, scales []float32, zeros []int32) *QTensor {
 	if ch > 0 {
 		plane = len(t.Data) / ch
 	}
-	parallel.For(ch, func(c int) {
+	for c := 0; c < ch; c++ {
 		s := q.ScaleFor(c)
 		var inv float32
 		if s != 0 {
@@ -119,7 +115,7 @@ func QuantizeLinear(t *Tensor, scales []float32, zeros []int32) *QTensor {
 		for i, v := range d {
 			out[i] = quantizeRound(v, inv, z)
 		}
-	})
+	}
 	return q
 }
 
@@ -146,7 +142,7 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 	ch := t.Shape[0]
 	plane := len(t.Data) / ch
 	scales := make([]float32, ch)
-	parallel.For(ch, func(c int) {
+	for c := range scales {
 		var mx float32
 		for _, v := range t.Data[c*plane : (c+1)*plane] {
 			if v < 0 {
@@ -157,7 +153,7 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 			}
 		}
 		scales[c] = mx / 127
-	})
+	}
 	return QuantizeLinear(t, scales, nil)
 }
 
@@ -173,7 +169,7 @@ func (q *QTensor) Dequantize() *Tensor {
 	if ch > 0 {
 		plane = len(q.Data) / ch
 	}
-	parallel.For(ch, func(c int) {
+	for c := 0; c < ch; c++ {
 		s := q.ScaleFor(c)
 		z := q.zeroFor(c)
 		src := q.Data[c*plane : (c+1)*plane]
@@ -181,7 +177,7 @@ func (q *QTensor) Dequantize() *Tensor {
 		for i, v := range src {
 			dst[i] = float32(int32(v)-z) * s
 		}
-	})
+	}
 	return t
 }
 
@@ -195,10 +191,11 @@ const qnBlock = 512
 // epilogue multiplies each finished int32 row by rowScale[i] (the
 // product of A's row scale and B's tensor scale) while the accumulator
 // tile is still hot, so the int32 intermediate never touches memory
-// twice. Both operands must be symmetric (zero-point 0). The kernel
-// registers-blocks 4 output rows so every streamed byte of B feeds four
-// multiply-accumulates — the int8 analogue of MatMulInto's row-band
-// parallel ikj loop.
+// twice. Both operands must be symmetric (zero-point 0). Large shapes
+// run the packed kernel (packq.go); small ones the reference loop,
+// which register-blocks 4 output rows so every streamed byte of B
+// feeds four multiply-accumulates — the int8 analogue of MatMulInto's
+// blocked ikj loop.
 func MatMulInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulInt8Into needs rank-2 operands, got %v × %v", a.Shape, b.Shape))
@@ -221,35 +218,8 @@ func MatMulInt8Into(dst *Tensor, a, b *QTensor, rowScale []float32) {
 		matMulInt8PackedInto(dst, a, b, rowScale, Epilogue{}, 0)
 		return
 	}
-	parallel.ForRange(m, func(lo, hi int) {
-		acc := make([]int32, 4*qnBlock)
-		for i0 := lo; i0 < hi; i0 += 4 {
-			rows := hi - i0
-			if rows > 4 {
-				rows = 4
-			}
-			for j0 := 0; j0 < n; j0 += qnBlock {
-				j1 := j0 + qnBlock
-				if j1 > n {
-					j1 = n
-				}
-				nb := j1 - j0
-				if rows == 4 {
-					int8Tile4(acc, a.Data, b.Data, i0, j0, nb, k, n)
-				} else {
-					int8TileGeneric(acc, a.Data, b.Data, i0, rows, j0, nb, k, n)
-				}
-				for r := 0; r < rows; r++ {
-					s := rowScale[i0+r]
-					ar := acc[r*nb : (r+1)*nb]
-					drow := dst.Data[(i0+r)*n+j0 : (i0+r)*n+j1]
-					for j, v := range ar {
-						drow[j] = float32(v) * s
-					}
-				}
-			}
-		}
-	})
+	var acc [4 * qnBlock]int32
+	int8EpilogueRange(dst, a, b, rowScale, Epilogue{}, 0, acc[:], 0, m)
 }
 
 // int8Tile4 accumulates a 4×nb output tile with the k loop unrolled by
@@ -343,49 +313,36 @@ func int8TileGeneric(acc []int32, a, b []int8, i0, rows, j0, nb, k, n int) {
 // unroll so the fp32 cols matrix never materialises. Zero padding maps
 // to quantized 0 (the symmetric zero-point).
 func im2colQInto(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, nc, oh, ow, colOff, rowStride int) {
-	total := nc * spec.KH * spec.KW
-	if parallel.Serial() {
-		for r := 0; r < total; r++ {
-			im2colQRow(x, cols, inv, spec, c0, r, oh, ow, colOff, rowStride)
-		}
-		return
-	}
-	parallel.For(total, func(r int) {
-		im2colQRow(x, cols, inv, spec, c0, r, oh, ow, colOff, rowStride)
-	})
-}
-
-// im2colQRow unrolls and quantizes one cols row — the shared worker
-// body of im2colQInto.
-func im2colQRow(x *Tensor, cols []int8, inv float32, spec ConvSpec, c0, r, oh, ow, colOff, rowStride int) {
 	h, w := x.Shape[1], x.Shape[2]
 	dh, dw := spec.dil()
-	c := r / (spec.KH * spec.KW)
-	rem := r % (spec.KH * spec.KW)
-	ky := rem / spec.KW
-	kx := rem % spec.KW
-	src := x.Data[(c0+c)*h*w : (c0+c+1)*h*w]
-	dst := cols[r*rowStride+colOff : r*rowStride+colOff+oh*ow]
-	i := 0
-	for oy := 0; oy < oh; oy++ {
-		iy := oy*spec.StrideH - spec.PadH + ky*dh
-		if iy < 0 || iy >= h {
+	for r := 0; r < nc*spec.KH*spec.KW; r++ {
+		c := r / (spec.KH * spec.KW)
+		rem := r % (spec.KH * spec.KW)
+		ky := rem / spec.KW
+		kx := rem % spec.KW
+		src := x.Data[(c0+c)*h*w : (c0+c+1)*h*w]
+		dst := cols[r*rowStride+colOff : r*rowStride+colOff+oh*ow]
+		i := 0
+		for oy := 0; oy < oh; oy++ {
+			iy := oy*spec.StrideH - spec.PadH + ky*dh
+			if iy < 0 || iy >= h {
+				for ox := 0; ox < ow; ox++ {
+					dst[i] = 0
+					i++
+				}
+				continue
+			}
+			srow := src[iy*w : (iy+1)*w]
+			ix := -spec.PadW + kx*dw
 			for ox := 0; ox < ow; ox++ {
-				dst[i] = 0
+				if ix >= 0 && ix < w {
+					dst[i] = quantizeRound(srow[ix], inv, 0)
+				} else {
+					dst[i] = 0
+				}
 				i++
+				ix += spec.StrideW
 			}
-			continue
-		}
-		srow := src[iy*w : (iy+1)*w]
-		ix := -spec.PadW + kx*dw
-		for ox := 0; ox < ow; ox++ {
-			if ix >= 0 && ix < w {
-				dst[i] = quantizeRound(srow[ix], inv, 0)
-			} else {
-				dst[i] = 0
-			}
-			i++
-			ix += spec.StrideW
 		}
 	}
 }
@@ -532,11 +489,7 @@ func Conv2DBatchQ(xs []*Tensor, w *QTensor, bias *Tensor, spec ConvSpec, xScale 
 			w.Data[g*ocg*icg*spec.KH*spec.KW:(g+1)*ocg*icg*spec.KH*spec.KW],
 			nil, ocg, icg*spec.KH*spec.KW)
 		MatMulInt8Into(big, wslice, colsQ, convQScales(w, xScale, g, ocg))
-		parallel.For(ocg*nb, func(i int) {
-			c, b := i/nb, i%nb
-			copy(outs[b].Data[(g*ocg+c)*plane:(g*ocg+c+1)*plane],
-				big.Data[c*nb*plane+b*plane:c*nb*plane+(b+1)*plane])
-		})
+		scatterBatch(outs, big.Data, g*ocg, ocg, plane)
 	}
 	ScratchB.Put(cols)
 	Scratch.Put(big)

@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ocularone/internal/parallel"
 )
 
 // Tensor is a dense row-major float32 tensor. Shape is immutable after
@@ -168,35 +166,29 @@ func (t *Tensor) ArgMax() int {
 
 // Sigmoid applies the logistic function in place.
 func (t *Tensor) Sigmoid() {
-	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		d := t.Data[lo:hi]
-		for i, v := range d {
-			d[i] = 1 / (1 + float32(math.Exp(float64(-v))))
-		}
-	})
+	d := t.Data
+	for i, v := range d {
+		d[i] = 1 / (1 + float32(math.Exp(float64(-v))))
+	}
 }
 
 // SiLU applies x*sigmoid(x) in place — the activation used throughout
 // YOLOv8/v11 backbones.
 func (t *Tensor) SiLU() {
-	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		d := t.Data[lo:hi]
-		for i, v := range d {
-			d[i] = v / (1 + float32(math.Exp(float64(-v))))
-		}
-	})
+	d := t.Data
+	for i, v := range d {
+		d[i] = v / (1 + float32(math.Exp(float64(-v))))
+	}
 }
 
 // ReLU applies max(0, x) in place.
 func (t *Tensor) ReLU() {
-	parallel.ForRange(len(t.Data), func(lo, hi int) {
-		d := t.Data[lo:hi]
-		for i, v := range d {
-			if v < 0 {
-				d[i] = 0
-			}
+	d := t.Data
+	for i, v := range d {
+		if v < 0 {
+			d[i] = 0
 		}
-	})
+	}
 }
 
 // Softmax normalises the last axis in place, numerically stable.
@@ -205,35 +197,24 @@ func (t *Tensor) Softmax() {
 		return
 	}
 	w := t.Shape[len(t.Shape)-1]
-	rows := len(t.Data) / w
-	if parallel.Serial() {
-		for r := 0; r < rows; r++ {
-			softmaxRow(t.Data[r*w : (r+1)*w])
+	for r := 0; r < len(t.Data)/w; r++ {
+		row := t.Data[r*w : (r+1)*w]
+		m := row[0]
+		for _, v := range row[1:] {
+			if v > m {
+				m = v
+			}
 		}
-		return
-	}
-	parallel.For(rows, func(r int) {
-		softmaxRow(t.Data[r*w : (r+1)*w])
-	})
-}
-
-// softmaxRow normalises one row — the shared worker body of Softmax.
-func softmaxRow(row []float32) {
-	m := row[0]
-	for _, v := range row[1:] {
-		if v > m {
-			m = v
+		var sum float32
+		for i, v := range row {
+			e := float32(math.Exp(float64(v - m)))
+			row[i] = e
+			sum += e
 		}
-	}
-	var sum float32
-	for i, v := range row {
-		e := float32(math.Exp(float64(v - m)))
-		row[i] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range row {
-		row[i] *= inv
+		inv := 1 / sum
+		for i := range row {
+			row[i] *= inv
+		}
 	}
 }
 

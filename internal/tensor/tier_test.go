@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"ocularone/internal/rng"
@@ -379,10 +378,9 @@ func TestTierABFTProperties(t *testing.T) {
 }
 
 // TestTierZeroAlloc pins the steady-state packed conv paths at zero
-// heap allocations on every tier — widening the tile must not cost the
-// frame loop its allocation contract.
+// heap allocations on every tier and at every GOMAXPROCS — widening
+// the tile must not cost the frame loop its allocation contract.
 func TestTierZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := ConvSpec{InC: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	r := rng.New(11)
 	x := randTensor(r, 16, 24, 24)
@@ -402,11 +400,7 @@ func TestTierZeroAlloc(t *testing.T) {
 		runQ := func() { ConvPackedQInto(dst, qp, x, spec, 0, 24, 24, 127, rowScale, ep, 0) }
 		runF()
 		runQ()
-		if a := testing.AllocsPerRun(10, runF); a != 0 {
-			t.Errorf("ConvPackedInto: %.0f allocs per steady-state call, want 0", a)
-		}
-		if a := testing.AllocsPerRun(10, runQ); a != 0 {
-			t.Errorf("ConvPackedQInto: %.0f allocs per steady-state call, want 0", a)
-		}
+		assertZeroAllocs(t, "ConvPackedInto", runF)
+		assertZeroAllocs(t, "ConvPackedQInto", runQ)
 	})
 }
