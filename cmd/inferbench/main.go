@@ -338,7 +338,7 @@ func fleetMode(drones int, modelFlag, deviceFlag string, frames int, fps float64
 		frames = 2000 // fleet mode is per-drone, keep the sweep bounded
 	}
 	place := pipeline.EdgePlacement(device.OrinNano, det)
-	place[pipeline.StageDetect] = pipeline.Placement{Device: shared, Model: det}
+	place["detect"] = pipeline.Placement{Device: shared, Model: det}
 	var pol pipeline.PrecisionPolicy
 	if prec == device.INT8 {
 		pol = pipeline.UniformPrecision(device.INT8, "detect", "pose", "depth")

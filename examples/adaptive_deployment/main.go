@@ -56,14 +56,14 @@ func main() {
 	ctl := adaptive.NewController(liveArms, 1, adaptive.Config{Window: 10})
 	start := liveArms[1]
 	place := pipeline.EdgePlacement(device.OrinNano, start.Model)
-	place[pipeline.StageDetect] = pipeline.Placement{Device: start.Dev, Model: start.Model}
+	place["detect"] = pipeline.Placement{Device: start.Dev, Model: start.Model}
 	s := &pipeline.Session{
 		Frames: 80, FrameFPS: 10, Seed: 6,
 		Policy: pipeline.DropPolicy{},
 		Placer: &pipeline.AdaptivePlacement{Stage: "detect", Ctl: ctl},
 		Graph:  pipeline.TimingVIPGraph(place),
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adaptive_deployment:", err)
 		os.Exit(1)
@@ -73,7 +73,7 @@ func main() {
 		res.Rebinds, ctl.Arm().Name, res.Dropped, res.DeadlineOK*100)
 	if n := len(res.Frames); n > 0 {
 		fmt.Printf("  first processed frame: detect %.0f ms;  last: detect %.0f ms\n",
-			res.Frames[0].DetectMS, res.Frames[n-1].DetectMS)
+			res.Frames[0].StageMS["detect"], res.Frames[n-1].StageMS["detect"])
 	}
 
 	// --- Part 3: multi-modal obstacle ranging (LiDAR + vision). ---

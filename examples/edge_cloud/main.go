@@ -35,7 +35,7 @@ func main() {
 	type variant struct {
 		name  string
 		stack *core.Stack
-		place map[pipeline.StageID]pipeline.Placement
+		place map[string]pipeline.Placement
 		rtt   float64
 	}
 	variants := []variant{
@@ -59,7 +59,7 @@ func main() {
 			Policy: pipeline.DropPolicy{}, FrameFPS: 10, MaxFrames: 30,
 			EdgeRTTms: vt.rtt, Seed: 3,
 		}
-		res, err := s.Run(nil)
+		res, err := s.Run()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "edge_cloud:", err)
 			os.Exit(1)

@@ -72,7 +72,7 @@ func main() {
 		Background: scene.Footpath, Lighting: 1.0, Seed: 5,
 	})
 	g := pipeline.NewGraph().AddOn(pipeline.NewDetectStage(restored, models.V8Medium, false), device.OrinAGX)
-	res, err := (&pipeline.Session{Source: v, Graph: g, FrameFPS: 10, Seed: 2}).Run(nil)
+	res, err := (&pipeline.Session{Source: v, Graph: g, FrameFPS: 10, Seed: 2}).Run()
 	if err != nil {
 		panic(err)
 	}

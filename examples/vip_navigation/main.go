@@ -48,7 +48,7 @@ func main() {
 		Source: v, Graph: g, Policy: pipeline.DropPolicy{},
 		FrameFPS: 10, MaxFrames: 40, Seed: 1,
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vip_navigation:", err)
 		os.Exit(1)

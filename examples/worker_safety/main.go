@@ -1,7 +1,7 @@
 // Worker safety: the paper's §1 broader application — monitoring hazard
 // vest compliance on a work site. This example shows the stage-graph API
-// carrying a workload the fixed detect→{pose,depth} VIP graph (what the
-// legacy pipeline.Run wrapper assembles) cannot express: a custom
+// carrying a workload the fixed detect→{pose,depth} VIP graph (what
+// pipeline.VIPGraph assembles) cannot express: a custom
 // FrameSource (a mounted site camera rendering crowds of workers) feeds
 // a user-defined compliance Stage that counts vests, tracks them across
 // frames, and raises violation alerts, with its latency simulated on
@@ -124,7 +124,7 @@ func main() {
 		// pressure, so queue rather than drop.
 		Policy: pipeline.QueuePolicy{}, FrameFPS: 2, Seed: 11,
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "worker_safety:", err)
 		os.Exit(1)

@@ -243,22 +243,23 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 	cfg := pol.Config()
 	m := track.NewMulti(track.Config{MaxCoastFrames: cfg.MaxBridged + 2})
 	ladderHits, ladderIoU := 0, 0.0
-	brRun, brConf := 0, 0.0
+	var vip temporal.Track
 	var lastBox imgproc.Rect
 	haveBox := false
 	stale := 0
 	for i := 0; i < n; i++ {
 		im, gt := render(i)
 		_, gap := driftGap(i)
+		bridged := false
+		if gap {
+			_, bridged = pol.Bridge(&vip, float64(i)*periodMS)
+		}
 		var boxes []detect.Box
 		real := false
 		switch {
-		case gap && pol.BridgeOK(brRun, brConf):
+		case bridged:
 			// Bridge: the tracker's motion model stands in for the frame.
 			d.BridgedFrames++
-			brRun++
-			brConf = pol.Decay(brConf)
-			pol.NoteBridge()
 		case gap:
 			// Budget exhausted mid-burst: the frame is simply dropped, as
 			// the serving tier would have shed it.
@@ -283,8 +284,7 @@ func RunTemporalDrift(sc Scale) TemporalDrift {
 				d.FullFrames++
 			}
 			real = true
-			brRun = 0
-			brConf = rung.Confidence()
+			vip.Anchor(rung, float64(i)*periodMS)
 		}
 		tracks := m.Update(boxes)
 		if real {

@@ -152,12 +152,10 @@ func TestPR7ZeroKnobParity(t *testing.T) {
 // and the three integrity modes) must reproduce bit for bit. The
 // ladder is proven inert when idle, not merely configured away.
 func TestPR9ZeroKnobParity(t *testing.T) {
-	inert := serve.TemporalConfig{
-		Enabled: false,
-		Ladder: temporal.Config{
-			MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1, RefreshEvery: 3,
-			ROICost: 0.3, EarlyExitCost: 0.6, Window: 16, MissHi: 0.4, MissLo: 0.02,
-		},
+	inert := temporal.Config{
+		Enabled:    false,
+		MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1, RefreshEvery: 3,
+		ROICost: 0.3, EarlyExitCost: 0.6, Window: 16, MissHi: 0.4, MissLo: 0.02,
 		BridgeMS: 2,
 	}
 	zeroKnob := func(seed uint64, mode string) string {

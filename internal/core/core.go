@@ -287,7 +287,7 @@ type Stack struct {
 // pipeline.EdgePlacement or pipeline.HybridPlacement). The graph is
 // ready for a pipeline.Session, and further stages can be chained onto
 // it with Add before running.
-func (st *Stack) Graph(place map[pipeline.StageID]pipeline.Placement, obstacleAlertM float64, useTracker bool) *pipeline.Graph {
+func (st *Stack) Graph(place map[string]pipeline.Placement, obstacleAlertM float64, useTracker bool) *pipeline.Graph {
 	return pipeline.VIPGraph(st.Detector, st.Fall, st.Depth, place, obstacleAlertM, useTracker)
 }
 

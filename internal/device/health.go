@@ -2,9 +2,8 @@ package device
 
 // Device health tracking: every executor in a Cluster carries a health
 // score — an exponential moving average over per-request outcomes
-// (deadline kept or missed), integrity events (silent corruption
-// detected, recovered or not), and chaos-visible fault episodes — and
-// a three-state machine driven by it:
+// (deadline kept or missed) and integrity events (silent corruption
+// detected, recovered or not) — and a three-state machine driven by it:
 //
 //	Healthy ──score < QuarantineBelow──▶ Quarantined
 //	Quarantined ──hold expires (Advance)──▶ Probation
@@ -50,14 +49,13 @@ func (h HealthState) String() string {
 // Health-machine constants. Outcome weights grade how damning each
 // observation is (1 = clean, 0 = worst); the EWMA step is small enough
 // that one bad request never quarantines a device, while a burst of
-// integrity events or a fault episode does.
+// integrity events does.
 const (
 	healthAlpha     = 0.15 // EWMA step per observation
 	outcomeMet      = 1.0  // served, deadline kept
 	outcomeMissed   = 0.4  // served, deadline missed
 	outcomeRecover  = 0.3  // silent corruption detected, recovered
 	outcomeCorrupt  = 0.0  // silent corruption detected, NOT recovered
-	outcomeEpisode  = 0.0  // chaos-visible fault episode (outage etc.)
 	QuarantineBelow = 0.55 // Healthy/Probation → Quarantined threshold
 	ReadmitAbove    = 0.85 // Probation → Healthy threshold
 	probationScore  = 0.70 // score a device re-enters service with
@@ -143,12 +141,6 @@ func (c *Cluster) ObserveIntegrity(d ID, nowMS float64, recovered bool) {
 	} else {
 		c.observe(d, nowMS, outcomeCorrupt)
 	}
-}
-
-// ObserveEpisode records one chaos-visible fault episode (a thermal
-// storm, a link brownout) attributed to the device.
-func (c *Cluster) ObserveEpisode(d ID, nowMS float64) {
-	c.observe(d, nowMS, outcomeEpisode)
 }
 
 // MarkDown records a fail-stop outage on the device until restoreMS:

@@ -14,15 +14,6 @@ func BuildPlanned(id ID, nc int, seed uint64, h, w int) (*nn.Network, *nn.Plan) 
 	return net, net.PlanFor(3, h, w)
 }
 
-// BuildQuantizedPlanned is BuildPlanned over the full post-training-
-// quantization recipe: calibrate, quantize, then compile. The returned
-// plan serves both precisions — Execute with nn.INT8 routes quantized
-// convs through the fused int8 kernels, fp32 stays bit-exact.
-func BuildQuantizedPlanned(id ID, nc int, seed uint64, frames, h, w int) (*nn.Network, *nn.Plan) {
-	net := BuildQuantized(id, nc, seed, frames, h, w)
-	return net, net.PlanFor(3, h, w)
-}
-
 // PlanFootprint is one model's compiled-plan memory geometry at a
 // given input size: arena slots and floats per sample, plus the shared
 // kernel scratch (materialised-im2col cols and batch staging) that

@@ -123,9 +123,6 @@ type Plan struct {
 	insts map[int]*planInst
 }
 
-// Shapes reports the compiled input shape.
-func (p *Plan) Shapes() (c, h, w int) { return p.c, p.h, p.w }
-
 // Ops reports the length of the compiled op list (introspection for
 // tests and tooling).
 func (p *Plan) Ops() int { return len(p.ops) }

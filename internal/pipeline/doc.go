@@ -5,7 +5,7 @@
 //
 // This is the application the paper's benchmark numbers serve: §4.2.4
 // motivates hosting large accurate models on the workstation and small
-// ones on the edge. The package has four layers:
+// ones on the edge. The package's parts:
 //
 //   - Stage/Graph (graph.go): a validated DAG of analytics stages with
 //     per-stage placements and pluggable back-pressure policies.
@@ -28,8 +28,11 @@
 //     the plan is reused across every later frame and batch wave, and a
 //     live re-placement recompiles on the new device. An unset policy
 //     replays the pre-plan schedule bit-for-bit.
-//   - The legacy API (pipeline.go): Run and the placement helpers are
-//     thin wrappers assembling the classic three-stage graph.
+//   - The classic VIP graph (pipeline.go, stages.go): VIPGraph and
+//     TimingVIPGraph assemble detect→{pose,depth}, with EdgePlacement
+//     and HybridPlacement producing the stage-name-keyed placements.
+//   - The temporal ladder (temporal.go): Session.Temporal embeds the
+//     internal/temporal degradation ladder on the root stages.
 //
 // Analytics are real (rendered pixels in, alerts out); per-frame timing
 // is simulated with the device latency model (plus network round trips

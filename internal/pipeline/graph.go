@@ -80,9 +80,6 @@ func (fc *FrameCtx) Alert(kind AlertKind, detail string) {
 	fc.alerts = append(fc.alerts, stageAlert{fc.cur, Alert{Kind: kind, FrameIndex: fc.FrameIndex, Detail: detail}})
 }
 
-// Ran reports whether the named stage ran its analytics on this frame.
-func (fc *FrameCtx) Ran(stage string) bool { return fc.ran[stage] }
-
 // Placement maps a stage to the device hosting its model and the model
 // identity used for latency simulation.
 type Placement struct {
@@ -142,15 +139,6 @@ func (g *Graph) AddOn(s Stage, dev device.ID) *Graph {
 	return g.Add(s, Placement{Device: dev, Model: s.Model()})
 }
 
-// SetPlacement moves a stage to a new placement (e.g. between runs).
-func (g *Graph) SetPlacement(name string, p Placement) error {
-	if _, ok := g.byName[name]; !ok {
-		return fmt.Errorf("pipeline: no stage %q", name)
-	}
-	g.place[name] = p
-	return nil
-}
-
 // Placements returns a copy of the graph's default placements. Sessions
 // start from this copy, so live re-placement in one session never leaks
 // into another.
@@ -184,6 +172,9 @@ func (g *Graph) Stages() []string {
 // (Kahn's algorithm, stable in insertion order). It is idempotent and
 // called automatically by Session.Run and Fleet.Run.
 func (g *Graph) Validate() error {
+	if g == nil {
+		return fmt.Errorf("pipeline: nil graph")
+	}
 	if g.err != nil {
 		return g.err
 	}
@@ -263,8 +254,7 @@ type Policy interface {
 
 // QueuePolicy queues work, optionally bounded: a frame or stage whose
 // executor backlog exceeds BudgetMS is shed; BudgetMS <= 0 queues
-// unboundedly (the offline-replay semantics of the original pipeline
-// without DropWhenBusy).
+// unboundedly (offline-replay semantics; the default policy).
 type QueuePolicy struct {
 	BudgetMS float64
 }
@@ -291,8 +281,7 @@ func (p QueuePolicy) RunStage(readyMS, busyUntilMS, _ float64) bool {
 // executor is still busy is dropped outright, and a downstream stage
 // whose executor will not free up within one frame period of its inputs
 // is skipped — situational-awareness results for an old frame are stale
-// by definition. This reproduces the original Config.DropWhenBusy
-// semantics.
+// by definition.
 type DropPolicy struct{}
 
 // Name identifies the policy.
@@ -317,11 +306,11 @@ func (DropPolicy) RunStage(readyMS, busyUntilMS, periodMS float64) bool {
 // Staleness clock: SlackFrames is measured in frame periods against the
 // stage's ready time — the same unit the temporal ladder's bridging
 // budget uses (temporal.Config.MaxBridged caps consecutive tracker-
-// bridged frame periods; see TemporalPolicy). The two layers compound:
+// bridged frame periods; see temporal.go). The two layers compound:
 // a bridged root already serves a prediction MaxBridged periods stale
 // at worst, and a stale-skip downstream of it ages the frame's
 // auxiliary outputs further. They therefore share one accounting — a
-// bridge advances the ladder's forced-refresh clock (Policy.NoteBridge)
+// bridge advances the ladder's forced-refresh clock (temporal.Policy.Bridge)
 // exactly as a reduced-rung inference does, and any downstream skip on
 // a bridged frame is surfaced in StreamResult.DoubleSkips rather than
 // folded invisibly into StageSkips. Budgets should be set jointly:

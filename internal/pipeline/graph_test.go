@@ -57,6 +57,9 @@ func TestGraphRejectsEmpty(t *testing.T) {
 	if err := NewGraph().Validate(); err == nil {
 		t.Fatal("empty graph accepted")
 	}
+	if _, err := (&Session{Frames: 5}).Run(); err == nil {
+		t.Fatal("session with nil graph accepted")
+	}
 }
 
 // --- Back-pressure policies ---
@@ -71,7 +74,7 @@ func overloadedSession(pol Policy) *Session {
 }
 
 func TestDropPolicyAccounting(t *testing.T) {
-	res, err := overloadedSession(DropPolicy{}).Run(nil)
+	res, err := overloadedSession(DropPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestDropPolicyAccounting(t *testing.T) {
 }
 
 func TestQueuePolicyBudgetAccounting(t *testing.T) {
-	unbounded, err := overloadedSession(QueuePolicy{}).Run(nil)
+	unbounded, err := overloadedSession(QueuePolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestQueuePolicyBudgetAccounting(t *testing.T) {
 		t.Fatalf("unbounded queue did not build: p95 %.0f ms", unbounded.E2E.P95MS)
 	}
 
-	budget, err := overloadedSession(QueuePolicy{BudgetMS: 500}).Run(nil)
+	budget, err := overloadedSession(QueuePolicy{BudgetMS: 500}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +124,16 @@ func TestStaleSkipPolicyAccounting(t *testing.T) {
 	// Fast root (x-large on the workstation keeps a 100 ms period), slow
 	// auxiliaries (x-large-class load on an Orin Nano cannot), so the
 	// stale-skip policy admits every frame and sheds downstream work.
-	place := map[StageID]Placement{
-		StageDetect: {Device: device.RTX4090, Model: models.V8XLarge},
-		StagePose:   {Device: device.OrinNano, Model: models.V8XLarge},
-		StageDepth:  {Device: device.OrinNano, Model: models.Monodepth2},
+	place := map[string]Placement{
+		"detect": {Device: device.RTX4090, Model: models.V8XLarge},
+		"pose":   {Device: device.OrinNano, Model: models.V8XLarge},
+		"depth":  {Device: device.OrinNano, Model: models.Monodepth2},
 	}
 	s := &Session{
 		Frames: 30, FrameFPS: 10, Seed: 9, Policy: StaleSkipPolicy{},
 		Graph: TimingVIPGraph(place), EdgeRTTms: 20,
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +221,9 @@ func TestFleetRejectsInvalidGraphAndEmpty(t *testing.T) {
 	if _, err := (&Fleet{Sessions: []*Session{bad}}).Run(); err == nil {
 		t.Fatal("fleet with cyclic session graph accepted")
 	}
+	if _, err := (&Fleet{Sessions: []*Session{nil}}).Run(); err == nil {
+		t.Fatal("fleet with nil session accepted")
+	}
 }
 
 // --- Live re-placement ---
@@ -249,7 +255,7 @@ func TestMidStreamPlacementSwapPreservesFrameStats(t *testing.T) {
 		Policy: QueuePolicy{}, Placer: placer,
 		Graph: TimingVIPGraph(EdgePlacement(device.XavierNX, models.V8XLarge)),
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +272,7 @@ func TestMidStreamPlacementSwapPreservesFrameStats(t *testing.T) {
 	}
 	// After the swap the detector runs in ~18 ms (+25 ms RTT) instead of
 	// ~1 s: the tail frames must be far faster than the head frames.
-	head, tail := res.Frames[5].DetectMS, res.Frames[29].DetectMS
+	head, tail := res.Frames[5].StageMS["detect"], res.Frames[29].StageMS["detect"]
 	if tail >= head {
 		t.Fatalf("swap did not speed up detection: head %.0f ms, tail %.0f ms", head, tail)
 	}
@@ -289,7 +295,7 @@ func TestAdaptivePlacementRebindsOnLatencyPressure(t *testing.T) {
 		Policy: DropPolicy{}, Placer: &AdaptivePlacement{Stage: "detect", Ctl: ctl},
 		Graph: TimingVIPGraph(EdgePlacement(device.XavierNX, models.V8XLarge)),
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +304,8 @@ func TestAdaptivePlacementRebindsOnLatencyPressure(t *testing.T) {
 	}
 	// Post-swap the nano-on-nano detector (~36 ms) meets the period.
 	last := res.Frames[len(res.Frames)-1]
-	if last.DetectMS > 100 {
-		t.Fatalf("post-adaptation detect latency %.0f ms", last.DetectMS)
+	if last.StageMS["detect"] > 100 {
+		t.Fatalf("post-adaptation detect latency %.0f ms", last.StageMS["detect"])
 	}
 }
 
@@ -340,7 +346,7 @@ func TestUserDefinedFourthStageEndToEnd(t *testing.T) {
 	g := VIPGraph(det, fall, est, place, 4, false).
 		Add(crowd, Placement{Device: device.OrinAGX, Model: models.V8Nano})
 	s := &Session{Source: v, Graph: g, FrameFPS: 10, MaxFrames: 10, Seed: 8}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,46 +369,16 @@ func TestUserDefinedFourthStageEndToEnd(t *testing.T) {
 	}
 }
 
-// --- Legacy equivalence ---
-
-func TestRunMatchesDirectGraphSession(t *testing.T) {
-	det, fall, est := buildStack(t)
-	v := testVideo()
-	cfg := Config{
-		Detector: det, Fall: fall, Depth: est,
-		Place:    EdgePlacement(device.OrinAGX, models.V8Medium),
-		FrameFPS: 10, Seed: 1, EdgeRTTms: 20,
-	}
-	legacy := Run(v, cfg, 12)
-	g := VIPGraph(det, fall, est, cfg.Place, 0, false)
-	s := &Session{Source: testVideo(), Graph: g, FrameFPS: 10, MaxFrames: 12, EdgeRTTms: 20, Seed: 1}
-	direct, err := s.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Frames) != len(direct.Frames) {
-		t.Fatalf("frame counts differ: %d vs %d", len(legacy.Frames), len(direct.Frames))
-	}
-	for i := range legacy.Frames {
-		if legacy.Frames[i].E2EMS != direct.Frames[i].E2EMS {
-			t.Fatalf("frame %d e2e differs: %f vs %f", i, legacy.Frames[i].E2EMS, direct.Frames[i].E2EMS)
-		}
-	}
-	if legacy.DetectionRate != direct.DetectionRate || len(legacy.Alerts) != len(direct.Alerts) {
-		t.Fatal("legacy wrapper diverges from direct graph session")
-	}
-}
-
 func TestSessionRerunStartsFromFreshExecutors(t *testing.T) {
 	// A reused session must not inherit the previous run's executor busy
 	// horizons: with a stateless (timing-only) graph, two runs are
 	// byte-identical.
 	s := overloadedSession(DropPolicy{})
-	a, err := s.Run(nil)
+	a, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run(nil)
+	b, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,11 @@ func TestSessionOpenLoopArrivals(t *testing.T) {
 	tr := serve.Traffic{RatePerSec: 10, Tenants: 1, BurstMult: 6, BurstOnMS: 400, BurstOffMS: 1600, Seed: 5}
 	trace := tr.ArrivalTrace(0, 40)
 
-	a, err := openLoopSession(3, trace).Run(nil)
+	a, err := openLoopSession(3, trace).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := openLoopSession(3, trace).Run(nil)
+	b, err := openLoopSession(3, trace).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSessionOpenLoopArrivals(t *testing.T) {
 		}
 	}
 
-	closed, err := openLoopSession(3, nil).Run(nil)
+	closed, err := openLoopSession(3, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSessionOpenLoopArrivals(t *testing.T) {
 func TestSessionOpenLoopShortTrace(t *testing.T) {
 	tr := serve.Traffic{RatePerSec: 10, Tenants: 1, Seed: 9}
 	s := openLoopSession(4, tr.ArrivalTrace(0, 10)) // 10 arrivals, 40 frames
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSessionOpenLoopShortTrace(t *testing.T) {
 // an error, not silent executor corruption.
 func TestSessionOpenLoopRejectsDecreasingTrace(t *testing.T) {
 	s := openLoopSession(4, []float64{10, 5})
-	if _, err := s.Run(nil); err == nil {
+	if _, err := s.Run(); err == nil {
 		t.Fatal("decreasing ArrivalsMS accepted")
 	}
 	f := &Fleet{Sessions: []*Session{openLoopSession(4, []float64{10, 5})}}

@@ -11,7 +11,7 @@ import (
 
 // timingSession builds a standalone timing-only session on the given
 // placement with the default queueing policy.
-func timingSession(place map[StageID]Placement, frames int, outages []Outage) *Session {
+func timingSession(place map[string]Placement, frames int, outages []Outage) *Session {
 	return &Session{
 		Frames: frames, FrameFPS: 10, Seed: 5, EdgeRTTms: 25,
 		Policy:  QueuePolicy{},
@@ -25,7 +25,7 @@ func timingSession(place map[StageID]Placement, frames int, outages []Outage) *S
 // replay the outage-free schedule bit for bit.
 func TestZeroOutageParity(t *testing.T) {
 	place := EdgePlacement(device.OrinNano, models.V8Nano)
-	base, err := timingSession(place, 40, nil).Run(nil)
+	base, err := timingSession(place, 40, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestZeroOutageParity(t *testing.T) {
 		"wrong-order": {{Device: device.OrinNano, FromMS: 2e9, ToMS: 2e9 + 1}, {Device: device.OrinNano, FromMS: 1e9, ToMS: 1e9 + 1}},
 	}
 	for name, out := range variants {
-		res, err := timingSession(place, 40, out).Run(nil)
+		res, err := timingSession(place, 40, out).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,13 +64,13 @@ func TestOutageDelaysFrames(t *testing.T) {
 			Outages: out,
 		}
 	}
-	base, err := mk(nil).Run(nil)
+	base, err := mk(nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Down from 1.0 s to 2.5 s: frames 4..9 (arrivals 1000..2250 ms)
 	// arrive into the hold.
-	res, err := mk([]Outage{{Device: device.OrinNano, FromMS: 1000, ToMS: 2500}}).Run(nil)
+	res, err := mk([]Outage{{Device: device.OrinNano, FromMS: 1000, ToMS: 2500}}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAdaptivePlacementRecoversFromOutage(t *testing.T) {
 		Graph:   TimingVIPGraph(HybridPlacement(device.OrinNano, models.V8XLarge)),
 		Outages: []Outage{{Device: device.RTX4090, FromMS: 500, ToMS: 6000}},
 	}
-	res, err := s.Run(nil)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestAdaptivePlacementRecoversFromOutage(t *testing.T) {
 	}
 	// Once re-placed on the edge the stream meets its period again.
 	last := res.Frames[len(res.Frames)-1]
-	if last.DetectMS > 100 {
-		t.Fatalf("post-recovery detect latency %.0f ms still workstation-bound", last.DetectMS)
+	if last.StageMS["detect"] > 100 {
+		t.Fatalf("post-recovery detect latency %.0f ms still workstation-bound", last.StageMS["detect"])
 	}
 }
 

@@ -3,68 +3,10 @@ package pipeline
 import (
 	"fmt"
 
-	"ocularone/internal/depth"
-	"ocularone/internal/detect"
 	"ocularone/internal/device"
 	"ocularone/internal/imgproc"
-	"ocularone/internal/metrics"
 	"ocularone/internal/models"
-	"ocularone/internal/pose"
-	"ocularone/internal/video"
 )
-
-// StageID identifies one of the classic built-in stages (legacy API;
-// graph stages are identified by name).
-type StageID int
-
-// Classic pipeline stages.
-const (
-	StageDetect StageID = iota
-	StagePose
-	StageDepth
-	numStages
-)
-
-// String names the stage.
-func (s StageID) String() string {
-	switch s {
-	case StageDetect:
-		return "detect"
-	case StagePose:
-		return "pose"
-	case StageDepth:
-		return "depth"
-	default:
-		return fmt.Sprintf("stage(%d)", int(s))
-	}
-}
-
-// Config assembles the classic three-stage pipeline (legacy API; new
-// code builds a Graph and Session directly).
-type Config struct {
-	Detector *detect.Detector
-	Fall     *pose.FallClassifier
-	Depth    *depth.Estimator
-
-	Place map[StageID]Placement
-	// EdgeRTTms is the round-trip latency to a stage not hosted on the
-	// drone's companion edge device (i.e. the workstation).
-	EdgeRTTms float64
-	// FrameFPS is the analysed frame rate (the paper extracts at 10 FPS).
-	FrameFPS float64
-	// ObstacleAlertM is the proximity threshold for obstacle alerts.
-	ObstacleAlertM float64
-	// DropWhenBusy selects the DropPolicy back-pressure policy: frames
-	// arriving while the detector is busy are skipped, stale auxiliary
-	// work is shed. Without it the pipeline queues unboundedly.
-	DropWhenBusy bool
-	// UseTracker bridges detector dropouts with the temporal tracker
-	// (internal/track): the VIP counts as present while the track is
-	// locked or coasting, and the vip-lost alert fires only when the
-	// coast budget runs out — a deployed system's semantics.
-	UseTracker bool
-	Seed       uint64
-}
 
 // AlertKind enumerates safety alerts.
 type AlertKind int
@@ -102,13 +44,9 @@ type Alert struct {
 
 // FrameStat records the simulated timing of one processed frame.
 // StageMS holds the arrival-to-finish latency of every stage that ran
-// (including network round trips); the legacy Detect/Pose/Depth fields
-// mirror the built-in stage names.
+// (including network round trips), keyed by stage name.
 type FrameStat struct {
 	FrameIndex int
-	DetectMS   float64
-	PoseMS     float64
-	DepthMS    float64
 	E2EMS      float64
 	Deadline   bool // finished within the frame period
 	VIPFound   bool
@@ -116,48 +54,9 @@ type FrameStat struct {
 	// Dropped marks a synthetic stat for a frame the back-pressure
 	// policy rejected whole. Dropped stats are reported to placement
 	// policies (a drop is latency pressure) but never appended to
-	// Result.Frames; VIPFound is left true so a drop does not read as
+	// StreamResult.Frames; VIPFound is left true so a drop does not read as
 	// an accuracy failure.
 	Dropped bool
-}
-
-// Result aggregates a pipeline run (legacy shape; the graph API returns
-// the richer StreamResult).
-type Result struct {
-	Frames     []FrameStat
-	Alerts     []Alert
-	E2E        metrics.LatencySummary
-	DeadlineOK float64 // fraction of processed frames meeting the frame period
-	// DetectionRate is the fraction of processed frames with the VIP found.
-	DetectionRate float64
-	// Dropped counts frames skipped by the DropWhenBusy policy.
-	Dropped int
-}
-
-// Run processes the first maxFrames extracted frames of the video
-// through the classic three-stage pipeline. It is a thin wrapper over
-// the stage-graph API: the configuration is assembled into a VIPGraph
-// and executed as a standalone Session.
-func Run(v *video.Video, cfg Config, maxFrames int) Result {
-	if cfg.FrameFPS <= 0 {
-		cfg.FrameFPS = 10
-	}
-	g := VIPGraph(cfg.Detector, cfg.Fall, cfg.Depth, cfg.Place, cfg.ObstacleAlertM, cfg.UseTracker)
-	var pol Policy = QueuePolicy{}
-	if cfg.DropWhenBusy {
-		pol = DropPolicy{}
-	}
-	s := &Session{
-		Source: v, Graph: g, Policy: pol,
-		FrameFPS: cfg.FrameFPS, MaxFrames: maxFrames,
-		EdgeRTTms: cfg.EdgeRTTms, Seed: cfg.Seed,
-	}
-	res, err := s.Run(nil)
-	if err != nil {
-		// The built-in graph is a valid DAG by construction.
-		panic(fmt.Sprintf("pipeline: %v", err))
-	}
-	return res.Legacy()
 }
 
 // expandToPerson grows a vest box to cover the whole person: the vest
@@ -172,21 +71,21 @@ func expandToPerson(vest imgproc.Rect, w, h int) imgproc.Rect {
 
 // EdgePlacement returns the all-on-edge configuration the paper's Fig. 5
 // benchmarks correspond to.
-func EdgePlacement(dev device.ID, det models.ID) map[StageID]Placement {
-	return map[StageID]Placement{
-		StageDetect: {Device: dev, Model: det},
-		StagePose:   {Device: dev, Model: models.Bodypose},
-		StageDepth:  {Device: dev, Model: models.Monodepth2},
+func EdgePlacement(dev device.ID, det models.ID) map[string]Placement {
+	return map[string]Placement{
+		"detect": {Device: dev, Model: det},
+		"pose":   {Device: dev, Model: models.Bodypose},
+		"depth":  {Device: dev, Model: models.Monodepth2},
 	}
 }
 
 // HybridPlacement hosts the detector on the workstation (large accurate
 // model) and the auxiliary models on the edge — the deployment §4.2.4
 // advocates.
-func HybridPlacement(edge device.ID, det models.ID) map[StageID]Placement {
-	return map[StageID]Placement{
-		StageDetect: {Device: device.RTX4090, Model: det},
-		StagePose:   {Device: edge, Model: models.Bodypose},
-		StageDepth:  {Device: edge, Model: models.Monodepth2},
+func HybridPlacement(edge device.ID, det models.ID) map[string]Placement {
+	return map[string]Placement{
+		"detect": {Device: device.RTX4090, Model: det},
+		"pose":   {Device: edge, Model: models.Bodypose},
+		"depth":  {Device: edge, Model: models.Monodepth2},
 	}
 }

@@ -29,7 +29,7 @@ func precisionStudySession(prec PrecisionPolicy, batch BatchPolicy) *Session {
 // explicit all-FP32 policy must produce byte-for-byte identical
 // results — same latencies, same jitter draws, same skip accounting.
 func TestPrecisionAllFP32BitIdentical(t *testing.T) {
-	base, err := precisionStudySession(nil, BatchPolicy{}).Run(nil)
+	base, err := precisionStudySession(nil, BatchPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPrecisionAllFP32BitIdentical(t *testing.T) {
 		"explicit-fp32":  UniformPrecision(device.FP32, graphStages...),
 		"unknown-stages": {"no-such-stage": device.INT8},
 	} {
-		got, err := precisionStudySession(pol, BatchPolicy{}).Run(nil)
+		got, err := precisionStudySession(pol, BatchPolicy{}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +53,11 @@ func TestPrecisionAllFP32BitIdentical(t *testing.T) {
 // saturated fp32 session into one that holds its deadlines: median E2E
 // drops and the deadline rate rises.
 func TestPrecisionInt8ImprovesServing(t *testing.T) {
-	fp, err := precisionStudySession(nil, BatchPolicy{}).Run(nil)
+	fp, err := precisionStudySession(nil, BatchPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q8, err := precisionStudySession(UniformPrecision(device.INT8, "detect", "pose", "depth"), BatchPolicy{}).Run(nil)
+	q8, err := precisionStudySession(UniformPrecision(device.INT8, "detect", "pose", "depth"), BatchPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestPrecisionInt8ImprovesServing(t *testing.T) {
 // deployment — heavy detect backbone int8, light pose/depth heads
 // fp32 — and checks only the chosen stage speeds up.
 func TestPrecisionBackboneInt8HeadsFP32(t *testing.T) {
-	fp, err := precisionStudySession(nil, BatchPolicy{}).Run(nil)
+	fp, err := precisionStudySession(nil, BatchPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := precisionStudySession(PrecisionPolicy{"detect": device.INT8}, BatchPolicy{}).Run(nil)
+	mixed, err := precisionStudySession(PrecisionPolicy{"detect": device.INT8}, BatchPolicy{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestPrecisionBackboneInt8HeadsFP32(t *testing.T) {
 	// Detect gets faster; pose keeps its fp32 service-time distribution
 	// (its stage latency may still shift via queueing, so compare the
 	// detect deltas instead of exact pose equality).
-	fpDet := fp.Frames[0].DetectMS
-	mxDet := mixed.Frames[0].DetectMS
+	fpDet := fp.Frames[0].StageMS["detect"]
+	mxDet := mixed.Frames[0].StageMS["detect"]
 	if mxDet >= fpDet {
 		t.Fatalf("first-frame detect %.1f ms not below fp32 %.1f ms", mxDet, fpDet)
 	}
@@ -102,7 +102,7 @@ func TestFleetPrecisionComposesWithBatching(t *testing.T) {
 		sessions := make([]*Session, 4)
 		for i := range sessions {
 			place := EdgePlacement(device.OrinNano, models.V8XLarge)
-			place[StageDetect] = Placement{Device: device.RTX4090, Model: models.V8XLarge}
+			place["detect"] = Placement{Device: device.RTX4090, Model: models.V8XLarge}
 			sessions[i] = &Session{
 				ID: i, Frames: 40, FrameFPS: 10, EdgeRTTms: 25,
 				Policy: QueuePolicy{}, Seed: 42 + uint64(i)*211,

@@ -82,8 +82,8 @@ type Session struct {
 	// session's root stages: queue pressure steps the root inference
 	// down to ROI / early-exit cost, and inside the staleness budget a
 	// tracker-bridged frame skips the device entirely. The zero value
-	// replays the pre-temporal schedule bit for bit. See TemporalPolicy.
-	Temporal TemporalPolicy
+	// replays the pre-temporal schedule bit for bit. See temporal.go.
+	Temporal temporal.Config
 
 	local *device.Cluster
 }
@@ -164,7 +164,7 @@ type StreamResult struct {
 	Rebinds int
 	// Bridged counts root-stage frames served by tracker prediction
 	// instead of a device inference (ladder rung L3; zero when the
-	// session's TemporalPolicy is off).
+	// session's Temporal ladder is off).
 	Bridged int
 	// ROIFrames and EarlyExitFrames count root inferences charged at
 	// the reduced ladder rungs (L1 and L2).
@@ -180,14 +180,6 @@ type StreamResult struct {
 	// BridgeStaleMaxMS is the largest gap between a bridged frame and
 	// the last real root inference anchoring it.
 	BridgeStaleMaxMS float64
-}
-
-// Legacy converts the stream result to the original Result shape.
-func (r StreamResult) Legacy() Result {
-	return Result{
-		Frames: r.Frames, Alerts: r.Alerts, E2E: r.E2E,
-		DeadlineOK: r.DeadlineOK, DetectionRate: r.DetectionRate, Dropped: r.Dropped,
-	}
 }
 
 // PlacementPolicy adjusts stage placements live, between frames — the
@@ -238,15 +230,10 @@ type execEnv struct {
 	// onset; outageCur is the next not-yet-applied entry.
 	outages   []Outage
 	outageCur int
-	// Temporal ladder state (nil tpol = ladder off): the per-stream
-	// bridging budget mirrors serve's per-tenant budget — brRun counts
-	// consecutive bridges since the last real root inference, brConf is
-	// the decaying bridging confidence re-seeded by each completion's
-	// rung, brLastMS anchors the staleness measurement.
+	// Temporal ladder state (nil tpol = ladder off): track is the
+	// stream's bridging budget, the same one serve keeps per tenant.
 	tpol                   *temporal.Policy
-	brRun                  int
-	brConf                 float64
-	brLastMS               float64
+	track                  temporal.Track
 	bridged                int
 	roiFrames, earlyFrames int
 	doubleSkips            int
@@ -386,14 +373,14 @@ func (e *execEnv) finalize(res *StreamResult) {
 	}
 }
 
-// Run processes the session's feed through its graph: analytics are real
-// (rendered pixels in, alerts out), timing is simulated per the device
-// model. shared optionally provides fleet-shared executors for non-edge
-// placements; pass nil for a standalone session. With s.Batch enabled,
+// Run processes the session's feed through its graph as a standalone
+// stream: analytics are real (rendered pixels in, alerts out), timing is
+// simulated per the device model on the session's own executors (Fleet
+// shares workstation executors between sessions). With s.Batch enabled,
 // frames arriving within the batching window coalesce into micro-batched
 // stage inferences (see BatchPolicy); disabled, every frame takes the
 // per-frame path.
-func (s *Session) Run(shared *device.Cluster) (StreamResult, error) {
+func (s *Session) Run() (StreamResult, error) {
 	s.defaults()
 	if err := s.Graph.Validate(); err != nil {
 		return StreamResult{}, err
@@ -401,7 +388,7 @@ func (s *Session) Run(shared *device.Cluster) (StreamResult, error) {
 	if err := s.validateArrivals(); err != nil {
 		return StreamResult{}, err
 	}
-	env := s.env(shared)
+	env := s.env(nil)
 	res := StreamResult{Session: s.ID}
 	period := s.periodMS()
 	runner := newGroupRunner(s.Batch)
@@ -476,7 +463,10 @@ func (f *Fleet) Run() ([]StreamResult, error) {
 	if shared == nil {
 		shared = device.NewCluster(f.SharedSeed)
 	}
-	for _, s := range f.Sessions {
+	for i, s := range f.Sessions {
+		if s == nil {
+			return nil, fmt.Errorf("pipeline: fleet session %d is nil", i)
+		}
 		s.defaults()
 		if err := s.Graph.Validate(); err != nil {
 			return nil, fmt.Errorf("pipeline: session %d: %w", s.ID, err)

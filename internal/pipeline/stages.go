@@ -191,21 +191,20 @@ func (s *TimingStage) Analyze(fc *FrameCtx) bool { return true }
 // TimingVIPGraph assembles the classic detect→{pose,depth} topology
 // from analytics-free timing stages — the graph the contention and
 // latency studies run. The detect model comes from its placement.
-func TimingVIPGraph(place map[StageID]Placement) *Graph {
+func TimingVIPGraph(place map[string]Placement) *Graph {
 	return NewGraph().
-		Add(NewTimingStage("detect", place[StageDetect].Model, nil), place[StageDetect]).
-		Add(NewTimingStage("pose", models.Bodypose, []string{"detect"}), place[StagePose]).
-		Add(NewTimingStage("depth", models.Monodepth2, []string{"detect"}), place[StageDepth])
+		Add(NewTimingStage("detect", place["detect"].Model, nil), place["detect"]).
+		Add(NewTimingStage("pose", models.Bodypose, []string{"detect"}), place["pose"]).
+		Add(NewTimingStage("depth", models.Monodepth2, []string{"detect"}), place["depth"])
 }
 
 // VIPGraph assembles the classic detect→{pose,depth} Ocularone graph
-// from a trained analytics stack, with per-stage placements keyed by the
-// legacy stage IDs (EdgePlacement and HybridPlacement still produce
-// these maps).
+// from a trained analytics stack, with per-stage placements keyed by
+// stage name (EdgePlacement and HybridPlacement produce these maps).
 func VIPGraph(det *detect.Detector, fall *pose.FallClassifier, est *depth.Estimator,
-	place map[StageID]Placement, obstacleAlertM float64, useTracker bool) *Graph {
+	place map[string]Placement, obstacleAlertM float64, useTracker bool) *Graph {
 	return NewGraph().
-		Add(NewDetectStage(det, place[StageDetect].Model, useTracker), place[StageDetect]).
-		Add(NewPoseStage(fall), place[StagePose]).
-		Add(NewDepthStage(est, obstacleAlertM), place[StageDepth])
+		Add(NewDetectStage(det, place["detect"].Model, useTracker), place["detect"]).
+		Add(NewPoseStage(fall), place["pose"]).
+		Add(NewDepthStage(est, obstacleAlertM), place["depth"])
 }

@@ -72,17 +72,6 @@ type AdaptConfig struct {
 	MissHi, MissLo float64
 }
 
-// Down reports whether the device is currently failed.
-func (s *Server) Down() bool { return s.deviceDown }
-
-// Degraded reports whether the dispatcher is serving at the degraded
-// precision.
-func (s *Server) Degraded() bool { return s.degraded }
-
-// LinkDelayMS reports the current per-request link round trip: the
-// configured baseline plus any degradation episode's surcharge.
-func (s *Server) LinkDelayMS() float64 { return s.cfg.LinkRTTms + s.linkExtraMS }
-
 // FailDevice fails the device at now until restoreAtMS: the in-flight
 // batch (if any) completes, no new batch dispatches while down, and
 // the stream resumes no earlier than the restore. Failing an

@@ -124,10 +124,6 @@ func (s *Server) hedgeBudget() int64 {
 	return int64(frac * float64(offered))
 }
 
-// SDCActive reports whether the silent-corruption process is currently
-// imposing faults.
-func (s *Server) SDCActive() bool { return s.sdcProb > 0 }
-
 // SetSDC imposes (or, at 0, lifts) the silent-data-corruption process:
 // while active, each completion on the primary device is corrupted
 // with probability prob. Corruption draws come from a dedicated rng
@@ -217,7 +213,7 @@ func (s *Server) completeViaHedge(ri int32) {
 	if s.tpol != nil {
 		// The hedge device ran a full-frame pass: it re-anchors the
 		// tenant's track exactly like a primary full-frame completion.
-		s.refreshTrack(r.tenant, temporal.FullFrame, r.hedgeDoneMS)
+		s.tracks[r.tenant].Anchor(temporal.FullFrame, r.hedgeDoneMS)
 	}
 	s.observe(missed, false)
 	s.release(ri)

@@ -91,7 +91,7 @@ type Config struct {
 	// budget (see temporal.go and internal/temporal). The zero value
 	// disables the ladder and replays pre-temporal schedules bit for
 	// bit.
-	Temporal TemporalConfig
+	Temporal temporal.Config
 }
 
 // DefaultConfig is the reference serving configuration of the
@@ -235,13 +235,9 @@ type Server struct {
 	hedgeComps     []device.Completion
 
 	// Temporal-ladder state (temporal.go; nil/zero unless
-	// Temporal.Enabled). brRun/brConf/brLastMS are per-tenant bridge
-	// state: consecutive bridged responses, bridging confidence, and
-	// the time of the last real inference.
+	// Temporal.Enabled). tracks holds each tenant's bridging budget.
 	tpol        *temporal.Policy
-	brRun       []int32
-	brConf      []float64
-	brLastMS    []float64
+	tracks      []temporal.Track
 	bridgedReqs int64
 	roiReqs     int64
 	earlyReqs   int64
@@ -346,9 +342,6 @@ func NewServer(cfg Config) *Server {
 	}
 	return s
 }
-
-// NowMS reports the simulator's clock (the last processed event time).
-func (s *Server) NowMS() float64 { return s.nowMS }
 
 // Offered reports the requests offered so far across all classes.
 func (s *Server) Offered() int64 {
@@ -841,7 +834,7 @@ func (s *Server) dispatch(c Class, m models.ID, leadDeadline, now float64, maxB 
 			}
 			// A real inference re-anchors the tenant's track at the
 			// rung's confidence; reduced rungs count as degraded tiers.
-			s.refreshTrack(r.tenant, rung, back)
+			s.tracks[r.tenant].Anchor(rung, back)
 			if rung != temporal.FullFrame {
 				rungDeg = true
 			}
@@ -1147,7 +1140,7 @@ func (s *Server) Fingerprint() uint64 {
 	}
 	// Same contract for the temporal ladder: its counters and the
 	// staleness histogram join the hash only when the ladder is live.
-	if s.temporalLive() {
+	if s.tpol != nil {
 		mix(uint64(s.bridgedReqs))
 		mix(uint64(s.roiReqs))
 		mix(uint64(s.earlyReqs))

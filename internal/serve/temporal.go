@@ -10,13 +10,14 @@ package serve
 // staleness budget (max consecutive bridges per tenant, geometric
 // confidence decay with a floor, forced full-frame refresh).
 //
-// Per-tenant bridge state models one tracked stream per tenant — the
-// drone-feed deployment this simulator serves, where each tenant is one
-// camera whose MultiTracker state lives server-side. A real completion
-// re-anchors the tenant's track at the completed rung's confidence;
-// each bridge decays it and lengthens the bridged run; the ladder
-// refuses to bridge once either budget is spent, and the request sheds
-// exactly as it would have without the ladder.
+// Per-tenant bridge state (one temporal.Track per tenant) models one
+// tracked stream per tenant — the drone-feed deployment this simulator
+// serves, where each tenant is one camera whose MultiTracker state
+// lives server-side. A real completion re-anchors the tenant's track
+// at the completed rung's confidence; each bridge decays it and
+// lengthens the bridged run; the ladder refuses to bridge once either
+// budget is spent, and the request sheds exactly as it would have
+// without the ladder.
 //
 // Everything is deterministic: the ladder policy draws no randomness,
 // bridged completions are computed inline from the arrival time, and
@@ -26,64 +27,39 @@ package serve
 
 import "ocularone/internal/temporal"
 
-// TemporalConfig is the serving tier's ladder configuration. The zero
-// value disables the ladder entirely and replays pre-temporal schedules
-// bit for bit.
-type TemporalConfig struct {
-	// Enabled turns the degradation ladder on.
-	Enabled bool
-	// Ladder tunes the rung policy and staleness budget (zero values
-	// select the temporal package defaults).
-	Ladder temporal.Config
-	// BridgeMS is the modelled server-side cost of answering from the
-	// tracker's motion model instead of the device (0 selects 0.5 ms —
-	// a table lookup plus box extrapolation, no inference).
-	BridgeMS float64
-}
-
-// bridgeMS returns the effective bridged-response service time.
-func (c TemporalConfig) bridgeMS() float64 {
-	if c.BridgeMS > 0 {
-		return c.BridgeMS
-	}
-	return 0.5
-}
-
 // initTemporal materialises the ladder state when the layer is enabled.
 // When disabled everything stays nil/zero and no serving path changes.
 func (s *Server) initTemporal(nt int) {
 	if !s.cfg.Temporal.Enabled {
 		return
 	}
-	s.tpol = temporal.NewPolicy(s.cfg.Temporal.Ladder)
-	s.brRun = make([]int32, nt)
-	s.brConf = make([]float64, nt)
-	s.brLastMS = make([]float64, nt)
+	s.tpol = temporal.NewPolicy(s.cfg.Temporal)
+	s.tracks = make([]temporal.Track, nt)
 }
 
-// temporalLive reports whether ladder accounting is part of this run's
-// behaviour (and therefore of its fingerprint).
-func (s *Server) temporalLive() bool { return s.tpol != nil }
-
 // tryBridge attempts to serve a would-be-shed arrival from tenant ti's
-// track state: if the ladder's staleness budget allows one more bridged
-// frame, the request is admitted and completed inline at the bridge
-// cost plus link transit, the tenant's bridge run lengthens and its
-// confidence decays, and the response's staleness (time since the
-// tenant's last real inference) is recorded. Returns false — caller
-// sheds as before — when the ladder is off or the budget is spent.
+// track: if the ladder's staleness budget allows one more bridged frame
+// (temporal.Policy.Bridge spends it), the request is admitted and
+// completed inline at the bridge cost plus link transit, and the
+// response's staleness (time since the tenant's last real inference) is
+// recorded. Returns false — caller sheds as before — when the ladder is
+// off or the budget is spent.
 //
 // Bridged completions charge no attained service: the device did no
 // work, so charging fairness for it would penalise exactly the tenants
 // the ladder is rescuing.
 func (s *Server) tryBridge(ti int, c Class, now, deadline float64) bool {
-	if s.tpol == nil || !s.tpol.BridgeOK(int(s.brRun[ti]), s.brConf[ti]) {
+	if s.tpol == nil {
+		return false
+	}
+	stale, ok := s.tpol.Bridge(&s.tracks[ti], now)
+	if !ok {
 		return false
 	}
 	t := &s.tallies[c]
 	t.admitted++
 	t.completed++
-	back := now + s.cfg.Temporal.bridgeMS() + s.cfg.LinkRTTms + s.linkExtraMS
+	back := now + s.tpol.Config().BridgeMS + s.cfg.LinkRTTms + s.linkExtraMS
 	missed := deadline > 0 && back > deadline
 	if !missed {
 		t.sloMet++
@@ -91,10 +67,7 @@ func (s *Server) tryBridge(ti int, c Class, now, deadline float64) bool {
 	t.lat.Add(back - now)
 	s.tenantCompleted[ti]++
 	s.bridgedReqs++
-	s.staleHist.Add(now - s.brLastMS[ti])
-	s.brRun[ti]++
-	s.brConf[ti] = s.tpol.Decay(s.brConf[ti])
-	s.tpol.NoteBridge()
+	s.staleHist.Add(stale)
 	// A bridged response is a degraded completion: stale-by-one-frame
 	// accuracy, fed to both controllers as detection-failure pressure.
 	s.observe(missed, true)
@@ -126,15 +99,4 @@ func (s *Server) selectRung(leadDeadline, now float64) temporal.Rung {
 		Outage:        s.faultDepth > 0 || s.pendingRecovery,
 		ThermalStress: s.ex.ThermalStress(),
 	})
-}
-
-// refreshTrack re-anchors tenant ti's bridge state after a real
-// completion at rung r arriving back at backMS: the bridged run resets
-// and the confidence re-seeds at the rung's anchor strength (lower
-// rungs anchor less firmly, so their tracks exhaust the bridging
-// budget sooner).
-func (s *Server) refreshTrack(ti int32, r temporal.Rung, backMS float64) {
-	s.brRun[ti] = 0
-	s.brConf[ti] = r.Confidence()
-	s.brLastMS[ti] = backMS
 }

@@ -56,12 +56,10 @@ func TestTemporalZeroKnobReplay(t *testing.T) {
 	sPlain.Drain()
 
 	knobbed := base
-	knobbed.Temporal = TemporalConfig{
-		Enabled: false, // the only knob that matters
-		Ladder: temporal.Config{
-			MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1,
-			RefreshEvery: 3, ROICost: 0.3, EarlyExitCost: 0.6,
-		},
+	knobbed.Temporal = temporal.Config{
+		Enabled:    false, // the only knob that matters
+		MaxBridged: 9, ConfDecay: 0.5, ConfFloor: 0.1,
+		RefreshEvery: 3, ROICost: 0.3, EarlyExitCost: 0.6,
 		BridgeMS: 2,
 	}
 	sKnob := NewServer(knobbed)
@@ -117,7 +115,7 @@ func TestTemporalStalenessBudget(t *testing.T) {
 	run := func(maxBridged int) Result {
 		cfg := overloadConfig(6_000, 42, 2.0)
 		cfg.Temporal.Enabled = true
-		cfg.Temporal.Ladder.MaxBridged = maxBridged
+		cfg.Temporal.MaxBridged = maxBridged
 		return Run(cfg)
 	}
 	tight, loose := run(1), run(8)

@@ -18,7 +18,11 @@
 // state, thermal throttle) and a hard staleness budget: at most
 // MaxBridged consecutive bridged frames per track, per-bridge
 // confidence decay with a floor, and a forced full-frame refresh every
-// RefreshEvery frames regardless of pressure.
+// RefreshEvery frames regardless of pressure. The budget state lives
+// here too: a Track is one stream's budget, Policy.Bridge spends it and
+// Track.Anchor re-seeds it after a real inference, so the serve tier
+// (one Track per tenant) and the pipeline tier (one per session) share
+// a single implementation.
 //
 // The policy draws no randomness and allocates nothing on its decision
 // path, so embedding it is fingerprint-inert until enabled: the serve

@@ -46,11 +46,14 @@ func (r Rung) String() string {
 	return "rung?"
 }
 
-// Config tunes the ladder policy. The zero value selects the defaults
-// below; a zero-value (or Enabled=false at the embedding layer) config
-// never changes scheduling, so historic fingerprints replay bit for
-// bit.
+// Config tunes the ladder. The zero value selects the defaults below;
+// with Enabled false the serve and pipeline tiers never build a Policy,
+// so every other knob is inert and historic fingerprints replay bit
+// for bit.
 type Config struct {
+	// Enabled turns the ladder on in the embedding tier (serve.Config,
+	// pipeline.Session). NewPolicy ignores it.
+	Enabled bool
 	// MaxBridged caps consecutive tracker-bridged frames per track
 	// (default 4). This is the same staleness unit as
 	// pipeline.StaleSkipPolicy.SlackFrames: both bound, in frame
@@ -81,6 +84,10 @@ type Config struct {
 	// at the same cadence).
 	Window         int
 	MissHi, MissLo float64
+	// BridgeMS is the latency of a tracker-bridged frame: the motion-
+	// model extrapolation cost, no device time (default 0.5 ms — a
+	// table lookup plus box extrapolation).
+	BridgeMS float64
 }
 
 // WithDefaults returns the config with every zero field resolved to
@@ -118,6 +125,9 @@ func (c *Config) defaults() {
 	}
 	if c.MissLo <= 0 {
 		c.MissLo = 0.05
+	}
+	if c.BridgeMS <= 0 {
+		c.BridgeMS = 0.5
 	}
 }
 
@@ -186,7 +196,7 @@ func (p *Policy) Config() Config { return p.cfg }
 
 // Select returns the rung for the next dispatched inference. It never
 // returns Bridge — bridging replaces an inference rather than shaping
-// one, so callers bridge explicitly via BridgeOK before dispatching
+// one, so callers bridge explicitly via Bridge before dispatching
 // (serve bridges at admission, pipeline before offering the root-stage
 // job) and Select governs the work that does reach the device.
 //
@@ -228,23 +238,51 @@ func (p *Policy) take(r Rung) Rung {
 	return r
 }
 
-// NoteBridge records a bridged frame against the forced-refresh clock —
-// a bridge is the stalest rung, so it must advance the same staleness
-// clock Select maintains (this is the "cannot double-skip silently"
-// contract shared with pipeline.StaleSkipPolicy).
-func (p *Policy) NoteBridge() {
+// Track is one tracked stream's bridging budget: a serve tenant's
+// camera, a pipeline session's root stage, or the drift study's VIP.
+// The zero value has no anchor (Conf 0 is below every floor), so a
+// stream cannot bridge before its first real inference.
+type Track struct {
+	// Run counts consecutive bridged frames since the last real
+	// inference.
+	Run int
+	// Conf is the bridging confidence: re-seeded by each real
+	// inference's rung, decayed by each bridge.
+	Conf float64
+	// LastMS is when the last real inference completed — the anchor
+	// bridged frames measure their staleness from.
+	LastMS float64
+}
+
+// Anchor re-anchors the track after a real inference at rung r that
+// completed at doneMS: the bridged run resets and the confidence
+// re-seeds at the rung's anchor strength (lower rungs anchor less
+// firmly, so their tracks exhaust the bridging budget sooner).
+func (t *Track) Anchor(r Rung, doneMS float64) {
+	t.Run = 0
+	t.Conf = r.Confidence()
+	t.LastMS = doneMS
+}
+
+// Bridge spends one frame of t's bridging budget at nowMS. When the
+// budget allows (fewer than MaxBridged consecutive bridges, confidence
+// at or above ConfFloor) the run lengthens, the confidence decays by
+// ConfDecay, the bridge advances the forced-refresh clock Select
+// maintains, and the frame's staleness (nowMS - t.LastMS) is returned
+// with ok. A bridge is the stalest rung, so it shares that clock: this
+// is the "cannot double-skip silently" contract with
+// pipeline.StaleSkipPolicy. When the budget is spent nothing changes
+// and ok is false.
+func (p *Policy) Bridge(t *Track, nowMS float64) (staleMS float64, ok bool) {
+	if t.Run >= p.cfg.MaxBridged || t.Conf < p.cfg.ConfFloor {
+		return 0, false
+	}
+	t.Run++
+	t.Conf *= p.cfg.ConfDecay
 	p.selected[Bridge]++
 	p.sinceFull++
+	return nowMS - t.LastMS, true
 }
-
-// BridgeOK reports whether a track whose last `run` frames were bridged
-// and whose bridging confidence is `conf` may bridge one more frame.
-func (p *Policy) BridgeOK(run int, conf float64) bool {
-	return run < p.cfg.MaxBridged && conf >= p.cfg.ConfFloor
-}
-
-// Decay returns the bridging confidence after one more bridged frame.
-func (p *Policy) Decay(conf float64) float64 { return conf * p.cfg.ConfDecay }
 
 // CostScale returns the service-time multiplier charged at rung r
 // relative to a full-frame pass (Bridge is 0: no device time at all).
@@ -291,6 +329,6 @@ func (p *Policy) Switches() int { return p.ctl.Switches() }
 // clock forced.
 func (p *Policy) ForcedRefreshes() int64 { return p.forced }
 
-// Selected reports how many frames were taken at rung r (Select calls
-// plus NoteBridge for Bridge).
+// Selected reports how many frames were taken at rung r (Select calls,
+// plus Bridge calls for Bridge).
 func (p *Policy) Selected(r Rung) int64 { return p.selected[r] }

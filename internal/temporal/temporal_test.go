@@ -79,9 +79,13 @@ func TestLadderForcedRefresh(t *testing.T) {
 	}
 	// Bridged frames advance the same clock.
 	p2 := NewPolicy(Config{RefreshEvery: 3})
-	p2.NoteBridge()
-	p2.NoteBridge()
-	p2.NoteBridge()
+	var tr Track
+	tr.Anchor(FullFrame, 0)
+	for i := 0; i < 3; i++ {
+		if _, ok := p2.Bridge(&tr, float64(i)); !ok {
+			t.Fatalf("bridge %d refused inside the budget", i)
+		}
+	}
 	if r := p2.Select(hot); r != FullFrame {
 		t.Fatalf("bridges did not advance the refresh clock: %s", r)
 	}
@@ -92,22 +96,59 @@ func TestLadderForcedRefresh(t *testing.T) {
 
 func TestLadderBridgeBudget(t *testing.T) {
 	p := NewPolicy(Config{MaxBridged: 3, ConfDecay: 0.5, ConfFloor: 0.2})
-	conf, run := 1.0, 0
-	for p.BridgeOK(run, conf) {
-		conf = p.Decay(conf)
-		run++
-		if run > 100 {
+	tr := Track{Conf: 1.0}
+	for {
+		before := tr
+		now := 10 * float64(tr.Run+1)
+		stale, ok := p.Bridge(&tr, now)
+		if !ok {
+			if tr != before {
+				t.Fatalf("refused bridge mutated the track: %+v -> %+v", before, tr)
+			}
+			break
+		}
+		if stale != now-tr.LastMS {
+			t.Fatalf("staleness %v, want now-LastMS = %v", stale, now-tr.LastMS)
+		}
+		if tr.Run != before.Run+1 || tr.Conf != before.Conf*0.5 {
+			t.Fatalf("bridge did not spend the budget: %+v -> %+v", before, tr)
+		}
+		if tr.Run > 100 {
 			t.Fatal("bridge budget never exhausted")
 		}
 	}
 	// 1.0 -> 0.5 -> 0.25 would allow 3 by confidence, and MaxBridged
 	// caps at 3; either bound stopping at 3 is the contract.
-	if run != 3 {
-		t.Fatalf("bridged %d frames, want 3", run)
+	if tr.Run != 3 {
+		t.Fatalf("bridged %d frames, want 3", tr.Run)
+	}
+	if p.Selected(Bridge) != 3 {
+		t.Fatalf("bridge tally = %d", p.Selected(Bridge))
 	}
 	// Confidence floor alone must also stop bridging.
-	if p.BridgeOK(0, 0.1) {
+	if _, ok := p.Bridge(&Track{Conf: 0.1}, 0); ok {
 		t.Fatal("bridged below the confidence floor")
+	}
+	// The zero Track has no anchor and cannot bridge.
+	if _, ok := p.Bridge(&Track{}, 0); ok {
+		t.Fatal("bridged an unanchored track")
+	}
+	// Anchor resets the run, re-seeds the confidence at the rung's
+	// strength and moves the staleness origin, for every rung.
+	for r := Bridge; r <= FullFrame; r++ {
+		tr := Track{Run: 3, Conf: 0.05, LastMS: 1}
+		tr.Anchor(r, 40)
+		if tr != (Track{Run: 0, Conf: r.Confidence(), LastMS: 40}) {
+			t.Fatalf("anchor at %s: %+v", r, tr)
+		}
+		want := r.Confidence() >= 0.2 // only the Bridge rung anchors below the floor
+		stale, ok := p.Bridge(&tr, 55)
+		if ok != want {
+			t.Fatalf("bridge after anchor at %s: ok=%v", r, ok)
+		}
+		if ok && stale != 15 {
+			t.Fatalf("staleness after anchor at %s: %v, want 15", r, stale)
+		}
 	}
 }
 
